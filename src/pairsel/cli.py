@@ -16,6 +16,8 @@ import io
 import json
 import os
 import sys
+import typing
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, is_dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -24,16 +26,18 @@ from . import __version__, pifam, verify
 from .gf import substream
 
 SEED_ENV_VAR = "PAIRSEL_SEED"
-COMMANDS = (
-    "crs-hardness",
-    "prophet-hardness",
-    "pi-test",
-    "ocrs-bench",
-    "prophet-bench",
-    "partition-bench",
-    "sigma-props",
-    "certify",
-)
+# Every command takes these flags, and also the ones its runner reads (COMMANDS).
+COMMON_FLAGS = ("seed", "output", "format", "config")
+CHOICES = {
+    "format": ("json", "csv", "text"),
+    "construction": ("ordered", "unordered"),
+    "distribution": ("pairwise", "product"),
+}
+HELP = {
+    "confidence": "sigma multiplier for intervals",
+    "config": "JSON file with defaults; flags override",
+    "trace": "line-delimited JSON decision log",
+}
 
 
 @dataclass
@@ -52,11 +56,16 @@ class RunConfig:
     format: str = "text"
     threads: int = 1
     construction: str = "ordered"
-    exact: bool = False
     target: float | None = None
     distribution: str = "pairwise"
     seeds: int = 20
     trace: str | None = None
+
+
+# RunConfig field name -> the types its value may take.
+FIELD_TYPES = {
+    name: typing.get_args(hint) or (hint,) for name, hint in typing.get_type_hints(RunConfig).items()
+}
 
 
 def _default_trials(command: str) -> int:
@@ -134,14 +143,10 @@ def _run_prophet_hardness(cfg: RunConfig, rng):
 
 
 def _run_ocrs_bench(cfg: RunConfig, rng):
-    trace_fn = _trace_writer(cfg.trace)
-    try:
+    with _trace_writer(cfg.trace) as trace:
         report = verify.crs_ocrs_balance(
-            cfg.q, cfg.d, cfg.c, cfg.trials, rng, sigmas=cfg.confidence, trace=trace_fn
+            cfg.q, cfg.d, cfg.c, cfg.trials, rng, sigmas=cfg.confidence, trace=trace
         )
-    finally:
-        if trace_fn:
-            trace_fn.close()
     threshold = 1.0 / (4.0 * cfg.d)
     passed = report.worst_min_ci_low() >= threshold
     body = _jsonable(report)
@@ -153,9 +158,10 @@ def _run_ocrs_bench(cfg: RunConfig, rng):
 def _run_prophet_bench(cfg: RunConfig, rng):
     kappa = cfg.kappa or 4
     d = cfg.d or 2 ** (2 * kappa)
-    report = verify.prophet_bucketing_benchmark(
-        d, kappa, cfg.trials, rng, sigmas=cfg.confidence
-    )
+    with _trace_writer(cfg.trace) as trace:
+        report = verify.prophet_bucketing_benchmark(
+            d, kappa, cfg.trials, rng, sigmas=cfg.confidence, trace=trace
+        )
     body = _jsonable(report)
     body["pass"] = report.ok
     return body, report.ok
@@ -215,31 +221,27 @@ def _run_certify(cfg: RunConfig, rng):
     return body, report.verdict
 
 
-RUNNERS = {
-    "pi-test": _run_pi_test,
-    "crs-hardness": _run_crs_hardness,
-    "prophet-hardness": _run_prophet_hardness,
-    "ocrs-bench": _run_ocrs_bench,
-    "prophet-bench": _run_prophet_bench,
-    "partition-bench": _run_partition_bench,
-    "sigma-props": _run_sigma_props,
-    "certify": _run_certify,
+# Command name -> (runner, the flags the runner reads besides COMMON_FLAGS).
+COMMANDS = {
+    "crs-hardness": (_run_crs_hardness, ("q", "d", "c", "trials", "confidence", "threads")),
+    "prophet-hardness": (_run_prophet_hardness, ("d", "kappa", "trials", "confidence")),
+    "pi-test": (_run_pi_test, ("q", "d", "m", "n", "construction")),
+    "ocrs-bench": (_run_ocrs_bench, ("q", "d", "c", "trials", "confidence", "trace")),
+    "prophet-bench": (_run_prophet_bench, ("d", "kappa", "trials", "confidence", "trace")),
+    "partition-bench": (_run_partition_bench, ("trials", "confidence")),
+    "sigma-props": (_run_sigma_props, ("d", "kappa", "trials", "seeds")),
+    "certify": (_run_certify, ("trials", "confidence", "target", "distribution")),
 }
 
 
-class _TraceWriter:
-    def __init__(self, path: str):
-        self._fh = open(path, "w")
-
-    def __call__(self, record: dict):
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-    def close(self):
-        self._fh.close()
-
-
+@contextmanager
 def _trace_writer(path: str | None):
-    return _TraceWriter(path) if path else None
+    """A callable writing one JSON line per record to ``path``, or None."""
+    if not path:
+        yield None
+        return
+    with open(path, "w") as fh:
+        yield lambda record: fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,79 +250,55 @@ def build_parser() -> argparse.ArgumentParser:
         description="Seeded experiments for pairwise-independent selection on matroids.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_runner, keys) in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--q", type=int)
-        p.add_argument("--d", type=int)
-        p.add_argument("--c", type=int)
-        p.add_argument("--kappa", type=int)
-        p.add_argument("--m", type=int)
-        p.add_argument("--n", type=int)
-        p.add_argument("--trials", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--confidence", type=float, help="sigma multiplier for intervals")
-        p.add_argument("--output", "-o")
-        p.add_argument("--format", choices=("json", "csv", "text"))
-        p.add_argument("--threads", type=int)
-        p.add_argument("--config", help="JSON file with defaults; flags override")
-        p.add_argument("--trace", help="line-delimited JSON decision log")
-        if name == "pi-test":
-            p.add_argument("--construction", choices=("ordered", "unordered"))
-            p.add_argument("--exact", action="store_true", default=None)
-        if name == "certify":
-            p.add_argument("--target", type=float)
-            p.add_argument("--distribution", choices=("pairwise", "product"))
-        if name == "sigma-props":
-            p.add_argument("--seeds", type=int)
+        for key in (*keys, *COMMON_FLAGS):
+            names = (f"--{key}", "-o") if key == "output" else (f"--{key}",)
+            kind = FIELD_TYPES.get(key, (str,))[0]
+            p.add_argument(*names, type=kind, choices=CHOICES.get(key), help=HELP.get(key))
     return parser
 
 
-_DEFAULTS = {
-    "q": None,
-    "d": None,
-    "c": None,
-    "kappa": None,
-    "m": None,
-    "n": None,
-    "trials": None,
-    "seed": None,
-    "confidence": 3.0,
-    "output": None,
-    "format": "text",
-    "threads": 1,
-    "construction": "ordered",
-    "exact": False,
-    "target": None,
-    "distribution": "pairwise",
-    "seeds": 20,
-    "trace": None,
-}
+def _config_value(key: str, value, allowed: tuple[type, ...]):
+    """A --config value checked against its RunConfig field type."""
+    if value is None and type(None) in allowed:
+        return None
+    if float in allowed and isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    # No field is a bool, and bool is an int subclass: reject it explicitly.
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        names = " or ".join(t.__name__ for t in allowed if t is not type(None))
+        raise ValueError(f"config key {key!r} must be {names}, got {value!r}")
+    if key in CHOICES and value not in CHOICES[key]:
+        raise ValueError(f"config key {key!r} must be one of {CHOICES[key]}, got {value!r}")
+    return value
 
 
 def resolve_config(argv: list[str]) -> RunConfig:
     parser = build_parser()
     ns = parser.parse_args(argv)
+    keys = [k for k in (*COMMANDS[ns.command][1], *COMMON_FLAGS) if k != "config"]
     file_values: dict = {}
-    config_path = getattr(ns, "config", None)
-    if config_path:
-        with open(config_path) as fh:
+    if ns.config:
+        with open(ns.config) as fh:
             file_values = json.load(fh)
-        unknown = set(file_values) - set(_DEFAULTS)
+        if not isinstance(file_values, dict):
+            raise ValueError("config file must hold a JSON object")
+        unknown = set(file_values) - set(keys)
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys for {ns.command}: {sorted(unknown)}")
+        file_values = {k: _config_value(k, v, FIELD_TYPES[k]) for k, v in file_values.items()}
     values = {}
-    for key, default in _DEFAULTS.items():
-        flag = getattr(ns, key, None)
+    for key in keys:
+        flag = getattr(ns, key)
         if flag is not None:
             values[key] = flag
         elif key in file_values:
             values[key] = file_values[key]
-        else:
-            values[key] = default
-    if values["seed"] is None:
+    if "seed" not in values:
         values["seed"] = int(os.environ.get(SEED_ENV_VAR, "0"))
     cfg = RunConfig(command=ns.command, **values)
-    if cfg.trials is None:
+    if cfg.trials is None and "trials" in keys:
         cfg.trials = _default_trials(cfg.command)
     _check_preconditions(cfg)
     return cfg
@@ -341,6 +319,8 @@ def _check_preconditions(cfg: RunConfig):
             raise ValueError("precondition violated: d a power of two with d >= 2^(2 kappa - 1)")
     if cfg.trials is not None and cfg.trials < 1:
         raise ValueError("precondition violated: trials >= 1")
+    if cfg.command == "sigma-props" and cfg.seeds < 1:
+        raise ValueError("precondition violated: seeds >= 1")
 
 
 def _flatten(value, prefix: str = "") -> list[tuple[str, object]]:
@@ -394,7 +374,7 @@ def run(argv: list[str]) -> int:
 
     rng = substream(cfg.seed, cfg.command)
     try:
-        body, passed = RUNNERS[cfg.command](cfg, rng)
+        body, passed = COMMANDS[cfg.command][0](cfg, rng)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -64,58 +64,6 @@ def substream(seed: int, *labels: object) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """A residue in GF(q); ``modulus`` must be prime."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        check_modulus(self.modulus)
-        object.__setattr__(self, "value", int(self.value) % self.modulus)
-
-    def _coerce(self, other: "FieldElement") -> int:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.modulus != self.modulus:
-            raise ValueError(f"modulus mismatch: {self.modulus} vs {other.modulus}")
-        return other.value
-
-    def __add__(self, other):
-        return FieldElement((self.value + self._coerce(other)) % self.modulus, self.modulus)
-
-    def __sub__(self, other):
-        return FieldElement((self.value - self._coerce(other)) % self.modulus, self.modulus)
-
-    def __mul__(self, other):
-        return FieldElement((self.value * self._coerce(other)) % self.modulus, self.modulus)
-
-    def __neg__(self):
-        return FieldElement(-self.value % self.modulus, self.modulus)
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError("inversion of zero")
-        return FieldElement(pow(self.value, self.modulus - 2, self.modulus), self.modulus)
-
-    def __repr__(self):
-        return f"FieldElement({self.value} mod {self.modulus})"
-
-
-def field_arithmetic(a: FieldElement, b: FieldElement | None, op: str) -> FieldElement:
-    """Dispatch one of {add, sub, mul, inv} on field elements."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inverse()
-    raise ValueError(f"unknown field operation {op!r}")
-
-
 def pack_bits(vector: Iterable[int]) -> int:
     """Pack a 0/1 coordinate sequence into an integer, bit i = coordinate i."""
     packed = 0
@@ -163,9 +111,6 @@ class FieldMatrix:
     def zeros(cls, rows: int, cols: int, q: int) -> "FieldMatrix":
         return cls.from_rows([[0] * cols for _ in range(rows)], q)
 
-    def element(self, i: int, j: int) -> FieldElement:
-        return FieldElement(self.entries[i][j], self.modulus)
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(self.entries[i][j] for i in range(self.rows))
 
@@ -182,9 +127,6 @@ class FieldMatrix:
             raise ValueError("packed representation is GF(2) only")
         return [pack_bits(row) for row in self.entries]
 
-    def to_lists(self) -> list[list[int]]:
-        return [list(row) for row in self.entries]
-
     def multiply(self, other: "FieldMatrix") -> "FieldMatrix":
         if self.modulus != other.modulus:
             raise ValueError(f"modulus mismatch: {self.modulus} vs {other.modulus}")
@@ -196,9 +138,6 @@ class FieldMatrix:
         for arow in self.entries:
             out.append(tuple(sum(a * b for a, b in zip(arow, bcol)) % q for bcol in bcols))
         return FieldMatrix(self.rows, other.cols, q, tuple(out))
-
-    def __matmul__(self, other):
-        return self.multiply(other)
 
     def rank(self) -> int:
         """GF(q) rank via Gaussian elimination on a working copy."""
@@ -279,11 +218,6 @@ class PackedBasis:
     def rank(self) -> int:
         return len(self._pivots)
 
-    def copy(self) -> "PackedBasis":
-        fresh = PackedBasis()
-        fresh._pivots = dict(self._pivots)
-        return fresh
-
 
 class ModBasis:
     """Incremental elimination basis over GF(q) tuple vectors (odd q)."""
@@ -328,10 +262,6 @@ def vector_basis(q: int, dim: int):
     return PackedBasis() if q == 2 else ModBasis(q, dim)
 
 
-def is_zero_vector(v) -> bool:
-    return v == 0 if isinstance(v, int) else not any(v)
-
-
 def random_matrix(rows: int, cols: int, q: int, rng: np.random.Generator) -> FieldMatrix:
     """Uniform matrix over GF(q); every entry an independent uniform draw.
 
@@ -342,16 +272,3 @@ def random_matrix(rows: int, cols: int, q: int, rng: np.random.Generator) -> Fie
     data = rng.integers(0, q, size=(rows, cols), dtype=np.int64)
     return FieldMatrix(rows, cols, q, tuple(tuple(int(v) for v in row) for row in data))
 
-
-def random_invertible(n: int, q: int, rng: np.random.Generator, passes: int = 4) -> FieldMatrix:
-    """Random invertible matrix built by row operations on the identity."""
-    check_modulus(q)
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(passes * n * n):
-        i, j = rng.integers(0, n, size=2)
-        if i == j:
-            continue
-        f = int(rng.integers(0, q))
-        rows[int(i)] = [(a + f * b) % q for a, b in zip(rows[int(i)], rows[int(j)])]
-    perm = rng.permutation(n)
-    return FieldMatrix.from_rows([rows[int(p)] for p in perm], q)

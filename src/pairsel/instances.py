@@ -15,7 +15,6 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from scipy import stats
 
 from . import pifam
 from .gf import FieldMatrix, PackedBasis, check_modulus, random_matrix
@@ -71,12 +70,24 @@ class CrsInstance:
         )
         return pifam.ActiveSet(self.q, self.d, self.labels(), explicit, frozenset(), "D1")
 
-    def to_json(self) -> dict:
-        return {"kind": "crs", "q": self.q, "d": self.d, "c": self.c}
+
+def _random_nonzero_vector(q: int, d: int, rng: np.random.Generator):
+    """Uniform nonzero vector of GF(q)^d in canonical form, redrawn until nonzero."""
+    while True:
+        v = tuple(int(x) for x in rng.integers(0, q, size=d))
+        if any(v):
+            return v if q != 2 else sum(b << i for i, b in enumerate(v))
 
 
-def sample_crs_instance(q: int, d: int, c: int, rng: np.random.Generator) -> pifam.ActiveSet:
-    return CrsInstance(q, d, c).sample(rng)
+def random_independent_vectors(matroid: DuplicatedLinearMatroid, r: int, rng: np.random.Generator) -> list:
+    """r linearly independent vectors, each redrawn until it is nonzero and
+    independent of the ones before it."""
+    vectors: list = []
+    while len(vectors) < r:
+        v = _random_nonzero_vector(matroid.q, matroid.dim, rng)
+        if matroid.rank_of_vectors(vectors + [v]) == len(vectors) + 1:
+            vectors.append(v)
+    return vectors
 
 
 @dataclass(frozen=True)
@@ -109,16 +120,10 @@ def check_polytope(instance: CrsInstance, subset_trials: int, rng: np.random.Gen
     if Fraction(d * q**d, q**d) > d:
         violations.append("ground set")
 
-    def random_nonzero_vector():
-        while True:
-            v = tuple(int(x) for x in rng.integers(0, q, size=d))
-            if any(v):
-                return v if q != 2 else sum(b << i for i, b in enumerate(v))
-
     for t in range(subset_trials):
         size = int(rng.integers(1, 3 * d + 1))
         elems = {
-            LabeledVector(random_nonzero_vector(), int(rng.integers(1, d + 1)))
+            LabeledVector(_random_nonzero_vector(q, d, rng), int(rng.integers(1, d + 1)))
             for _ in range(size)
         }
         tested += 1
@@ -129,14 +134,7 @@ def check_polytope(instance: CrsInstance, subset_trials: int, rng: np.random.Gen
 
     for t in range(subset_trials):
         r = int(rng.integers(1, min(d, 3) + 1))
-        basis_vectors = []
-        basis = None
-        while len(basis_vectors) < r:
-            v = random_nonzero_vector()
-            probe = matroid.rank_of_vectors(basis_vectors + [v])
-            if probe == len(basis_vectors) + 1:
-                basis_vectors.append(v)
-        flat = _span_vectors(basis_vectors, q, d)
+        flat = _span_vectors(random_independent_vectors(matroid, r, rng), q, d)
         tested += 1
         mu = len(flat) * d * denom
         if mu > r:
@@ -240,18 +238,6 @@ class ProphetSample:
 
     def arrival_order(self):
         return self.candidates
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "prophet",
-            "d": self.params.d,
-            "kappa": self.params.kappa,
-            "e_hard": self.e_hard,
-            "theorem_faithful": self.params.theorem_faithful,
-            "rejections": self.rejections,
-            "weights": {str(e.label): [int(e.vector), w] for e, w in self.candidates},
-            "full_block_levels": list(self.full_block_levels),
-        }
 
 
 def _r_column_masks(d: int, rng: np.random.Generator) -> list[int]:
@@ -378,6 +364,8 @@ def pairwise_weight_test(
     Weight values constrained to {0, 2^level} (the remaining proof case)
     are asserted structurally on full instance draws.
     """
+    from scipy import stats
+
     if d > 64:
         raise ValueError("vectorized weight test supports d <= 64")
     params = ProphetParams(d, kappa)
@@ -465,6 +453,8 @@ def pairwise_weight_test(
 def _chi2_independence(table: np.ndarray) -> tuple[float, int, float]:
     """Pearson chi-square of a contingency table against the product of its
     empirical margins."""
+    from scipy import stats
+
     n = table.sum()
     row = table.sum(axis=1)
     col = table.sum(axis=0)

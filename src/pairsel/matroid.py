@@ -69,6 +69,30 @@ def _check_weights(weights: Mapping, S) -> list[tuple[object, float]]:
     return pairs
 
 
+def _full_blocks_of(S):
+    """The full-label blocks of a lazily represented active set, or None."""
+    blocks = getattr(S, "full_blocks", None)
+    return blocks if blocks else None
+
+
+# The two oracles below are the same for every matroid class.  Each class body
+# binds them by name, so every class still owns its ``is_independent`` and
+# ``weighted_rank`` attributes and a per-class wrapper replaces one class only.
+
+
+def _is_independent(matroid, S) -> bool:
+    """True iff S (duplicates collapsed) is independent in ``matroid``."""
+    if _full_blocks_of(S) is not None:
+        raise ValueError("full-label blocks are never independent sets")
+    elems = _as_element_set(S)
+    return matroid.rank(elems) == len(elems)
+
+
+def _weighted_rank(matroid, weights, S) -> tuple[float, tuple]:
+    """Greedy maximum-weight independent subset of S: (value, elements)."""
+    return _greedy(matroid.tracker(), _check_weights(weights, _as_element_set(S)))
+
+
 class _LinearTracker:
     """Incremental independence oracle for a duplicated linear matroid."""
 
@@ -113,9 +137,6 @@ class DuplicatedLinearMatroid:
     def full_rank(self) -> int:
         return self.dim
 
-    def ground_size(self) -> int:
-        return self.copies * self.q**self.dim
-
     def check_element(self, e: LabeledVector):
         if not isinstance(e, LabeledVector):
             raise ValueError(f"element {e!r} is not a labeled vector")
@@ -131,13 +152,9 @@ class DuplicatedLinearMatroid:
     def tracker(self) -> _LinearTracker:
         return _LinearTracker(self)
 
-    def _full_blocks_of(self, S):
-        blocks = getattr(S, "full_blocks", None)
-        return blocks if blocks else None
-
     def rank(self, S) -> int:
         # A full-label block contains every vector, hence a basis.
-        if self._full_blocks_of(S) is not None:
+        if _full_blocks_of(S) is not None:
             return self.dim
         tracker = self.tracker()
         for e in _as_element_set(S):
@@ -150,15 +167,11 @@ class DuplicatedLinearMatroid:
             basis.add(v)
         return basis.rank
 
-    def is_independent(self, S) -> bool:
-        if self._full_blocks_of(S) is not None:
-            raise ValueError("full-label blocks are never independent sets")
-        elems = _as_element_set(S)
-        return self.rank(elems) == len(elems)
+    is_independent = _is_independent
 
     def span_contains(self, S, e: LabeledVector) -> bool:
         self.check_element(e)
-        if self._full_blocks_of(S) is not None:
+        if _full_blocks_of(S) is not None:
             return True
         basis = gf.vector_basis(self.q, self.dim)
         for f in _as_element_set(S):
@@ -166,8 +179,7 @@ class DuplicatedLinearMatroid:
             basis.add(f.vector)
         return basis.contains(e.vector)
 
-    def weighted_rank(self, weights, S) -> tuple[float, tuple]:
-        return _greedy(self.tracker(), _check_weights(weights, _as_element_set(S)))
+    weighted_rank = _weighted_rank
 
 
 class _PartitionTracker:
@@ -209,9 +221,6 @@ class SimplePartitionMatroid:
     def full_rank(self) -> int:
         return sum(1 for p in self.parts if p)
 
-    def ground_set(self) -> frozenset:
-        return frozenset().union(*self.parts) if self.parts else frozenset()
-
     def part_of(self, e) -> int:
         for i, part in enumerate(self.parts):
             if e in part:
@@ -225,16 +234,13 @@ class SimplePartitionMatroid:
         elems = _as_element_set(S)
         return len({self.part_of(e) for e in elems})
 
-    def is_independent(self, S) -> bool:
-        elems = _as_element_set(S)
-        return self.rank(elems) == len(elems)
+    is_independent = _is_independent
 
     def span_contains(self, S, e) -> bool:
         part = self.part_of(e)
         return any(self.part_of(f) == part for f in S)
 
-    def weighted_rank(self, weights, S) -> tuple[float, tuple]:
-        return _greedy(self.tracker(), _check_weights(weights, _as_element_set(S)))
+    weighted_rank = _weighted_rank
 
 
 def rank_one(elements: Iterable) -> SimplePartitionMatroid:
@@ -306,9 +312,7 @@ class GraphicMatroid:
         tracker = self.tracker()
         return sum(1 for e in _as_element_set(S) if tracker.add_if_independent(e))
 
-    def is_independent(self, S) -> bool:
-        elems = _as_element_set(S)
-        return self.rank(elems) == len(elems)
+    is_independent = _is_independent
 
     def span_contains(self, S, e) -> bool:
         u, v = self.edge(e)
@@ -318,36 +322,7 @@ class GraphicMatroid:
             uf.union(fu, fv)
         return uf.find(u) == uf.find(v)
 
-    def weighted_rank(self, weights, S) -> tuple[float, tuple]:
-        return _greedy(self.tracker(), _check_weights(weights, _as_element_set(S)))
-
-    @classmethod
-    def from_edge_list(cls, text: str) -> tuple["GraphicMatroid", list[float] | None]:
-        """Parse `u v [weight]` lines, zero-indexed vertices.
-
-        Returns the matroid and the weight column if any line carried one.
-        """
-        edges = []
-        weights: list[float] = []
-        saw_weight = False
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise ValueError(f"line {lineno}: expected 'u v [weight]', got {raw!r}")
-            u, v = int(parts[0]), int(parts[1])
-            if u < 0 or v < 0:
-                raise ValueError(f"line {lineno}: vertices must be non-negative")
-            edges.append((u, v))
-            if len(parts) == 3:
-                saw_weight = True
-                weights.append(float(parts[2]))
-            else:
-                weights.append(1.0)
-        n_vertices = 1 + max((max(u, v) for u, v in edges), default=-1)
-        return cls(n_vertices, tuple(edges)), (weights if saw_weight else None)
+    weighted_rank = _weighted_rank
 
 
 def complete_graph(n: int) -> GraphicMatroid:

@@ -82,28 +82,6 @@ class OrderedFamily:
     def columns(self) -> list:
         return self.x.column_vectors()
 
-    def to_json(self) -> dict:
-        return {
-            "modulus": self.q,
-            "x": self.x.to_lists(),
-            "sigma": self.sigma.to_lists(),
-            "r": self.r.to_lists(),
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json(cls, blob: dict) -> "OrderedFamily":
-        q = blob["modulus"]
-        fam = cls(
-            x=FieldMatrix.from_rows(blob["x"], q),
-            sigma=FieldMatrix.from_rows(blob["sigma"], q),
-            r=FieldMatrix.from_rows(blob["r"], q),
-            seed=blob.get("seed"),
-        )
-        if fam.r.multiply(fam.sigma) != fam.x:
-            raise ValueError("inconsistent serialized family: x != r * sigma")
-        return fam
-
 
 def ordered_family(
     sigma: FieldMatrix,
@@ -166,46 +144,22 @@ class ActiveSet:
         """Exact |A|; each full block contributes q^dim elements."""
         return len(self.explicit) + len(self.full_blocks) * self.q**self.dim
 
-    @classmethod
-    def empty(cls, q: int, dim: int) -> "ActiveSet":
-        return cls(q, dim, (), (), frozenset(), "D1")
 
-
-def matrix_to_set(
-    x,
-    labels,
-    rng: np.random.Generator,
-    *,
-    mixture_weight: float | None = None,
-    block_probability: float | None = None,
-) -> ActiveSet:
+def matrix_to_set(x, labels, rng: np.random.Generator) -> ActiveSet:
     """Random set generation from a random matrix (the D1/D2 mixture).
 
     With probability 1 - 1/q^dim the set is the labeled columns of x; with
     probability 1/q^dim each label independently contributes its full copy
-    class with probability 1/q^dim.  The two probability knobs exist for
-    mutation testing only and default to the exact mixture value.
+    class with probability 1/q^dim.
     """
     if isinstance(x, OrderedFamily):
         x = x.x
     if not isinstance(x, FieldMatrix):
         raise ValueError(f"expected a FieldMatrix or OrderedFamily, got {type(x).__name__}")
-    return matrix_to_set_from_columns(
-        x.column_vectors(), x.modulus, x.rows, labels, rng,
-        mixture_weight=mixture_weight, block_probability=block_probability,
-    )
+    return matrix_to_set_from_columns(x.column_vectors(), x.modulus, x.rows, labels, rng)
 
 
-def matrix_to_set_from_columns(
-    columns,
-    q: int,
-    dim: int,
-    labels,
-    rng: np.random.Generator,
-    *,
-    mixture_weight: float | None = None,
-    block_probability: float | None = None,
-) -> ActiveSet:
+def matrix_to_set_from_columns(columns, q: int, dim: int, labels, rng: np.random.Generator) -> ActiveSet:
     """The D1/D2 mixture on pre-extracted column vectors.
 
     Same semantics as :func:`matrix_to_set`; this variant skips matrix
@@ -216,11 +170,9 @@ def matrix_to_set_from_columns(
         raise ValueError(f"{len(labels)} labels for {len(columns)} columns")
     if len(labels) >= q**dim:
         raise ValueError(f"need fewer than q^dim = {q**dim} labels, got {len(labels)}")
-    default = float(Fraction(1, q**dim))
-    weight = default if mixture_weight is None else float(mixture_weight)
-    block_p = default if block_probability is None else float(block_probability)
-    if rng.random() < weight:
-        blocks = frozenset(i for i in labels if rng.random() < block_p)
+    p = float(Fraction(1, q**dim))
+    if rng.random() < p:
+        blocks = frozenset(i for i in labels if rng.random() < p)
         return ActiveSet(q, dim, labels, (), blocks, "D2")
     explicit = tuple(LabeledVector(col, lab) for col, lab in zip(columns, labels))
     return ActiveSet(q, dim, labels, explicit, frozenset(), "D1")
@@ -284,11 +236,10 @@ class NestedSigma:
     coordinates into parts of size 2^level and a full-column-rank block of
     sliding-window columns supported on that level's alive coordinates."""
 
-    def __init__(self, d: int, kappa: int, partitions, seed: int | None = None):
+    def __init__(self, d: int, kappa: int, partitions):
         self.d = d
         self.kappa = kappa
         self.partitions = tuple(tuple(tuple(p) for p in level) for level in partitions)
-        self.seed = seed
         self._sigmas: list[FieldMatrix] | None = None
 
     @property
@@ -302,10 +253,6 @@ class NestedSigma:
             for window in _window_columns(part):
                 masks.append(sum(1 << c for c in window))
         return masks
-
-    def column_part(self, level: int, col: int) -> int:
-        half = len(self.partitions[level - 1][0]) // 2
-        return col // half
 
     def columns_per_level(self) -> list[int]:
         return [len(level) * (len(level[0]) // 2) for level in self.partitions]
@@ -321,27 +268,8 @@ class NestedSigma:
             ]
         return self._sigmas
 
-    def to_json(self) -> dict:
-        return {
-            "modulus": 2,
-            "d": self.d,
-            "kappa": self.kappa,
-            "seed": self.seed,
-            "partitions": [[list(p) for p in level] for level in self.partitions],
-            "sigmas": [m.to_lists() for m in self.sigmas],
-        }
 
-    @classmethod
-    def from_json(cls, blob: dict) -> "NestedSigma":
-        ns = cls(blob["d"], blob["kappa"], blob["partitions"], blob.get("seed"))
-        if "sigmas" in blob:
-            given = [FieldMatrix.from_rows(rows, 2) for rows in blob["sigmas"]]
-            if given != ns.sigmas:
-                raise ValueError("serialized sigma blocks disagree with partitions")
-        return ns
-
-
-def sigma_prophet(d: int, kappa: int, rng: np.random.Generator, seed: int | None = None) -> NestedSigma:
+def sigma_prophet(d: int, kappa: int, rng: np.random.Generator) -> NestedSigma:
     """Construct the nested system of pairwise linearly independent columns.
 
     Level 1 pairs consecutive principal coordinates; each later level keeps
@@ -362,7 +290,7 @@ def sigma_prophet(d: int, kappa: int, rng: np.random.Generator, seed: int | None
     for _ in range(2, kappa + 1):
         parts, _keep = _survive_and_merge(parts, rng)
         partitions.append(parts)
-    return NestedSigma(d, kappa, partitions, seed=seed)
+    return NestedSigma(d, kappa, partitions)
 
 
 def survival_frequency(

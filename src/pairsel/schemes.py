@@ -99,25 +99,6 @@ class GreedyOcrs:
         return 0.0
 
 
-class NullScheme:
-    """Accepts nothing; the degenerate baseline with balance zero."""
-
-    name = "null"
-
-    def __init__(self, matroid):
-        self.matroid = matroid
-        self.coin_probability = 0.0
-
-    def coins(self, elements, rng):
-        return {e: False for e in elements}
-
-    def run(self, active_order, coins, trace=None):
-        return ()
-
-    def selection_probability_given_active(self, element, actives, coins, adversary) -> float:
-        return 0.0
-
-
 INF_BUCKET = -1
 
 

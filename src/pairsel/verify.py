@@ -20,7 +20,13 @@ import numpy as np
 
 from . import pifam, schemes
 from .gf import FieldMatrix, check_modulus
-from .instances import CrsInstance, ProphetParams, _span_vectors, sample_prophet_instance
+from .instances import (
+    CrsInstance,
+    ProphetParams,
+    _span_vectors,
+    random_independent_vectors,
+    sample_prophet_instance,
+)
 from .matroid import DuplicatedLinearMatroid, LabeledVector, SimplePartitionMatroid
 
 DEFAULT_SIGMAS = 3.0
@@ -121,6 +127,16 @@ class RatioAccumulator:
             self.sum_yy + y * y,
             self.sum_xy + x * y,
         )
+
+    @property
+    def x(self) -> Accumulator:
+        """Moments of the numerator alone."""
+        return Accumulator(self.count, self.sum_x, self.sum_xx)
+
+    @property
+    def y(self) -> Accumulator:
+        """Moments of the denominator alone."""
+        return Accumulator(self.count, self.sum_y, self.sum_yy)
 
     def merge(self, other: "RatioAccumulator") -> "RatioAccumulator":
         return RatioAccumulator(
@@ -590,14 +606,7 @@ def crs_families(instance: CrsInstance, rng: np.random.Generator, n_random: int 
         fams.append(FExplicit(f"random-subset-{t}", frozenset(elements)))
     for t in range(n_random):
         r = int(rng.integers(1, min(d, 2) + 1))
-        vecs: list = []
-        while len(vecs) < r:
-            vec = tuple(int(x) for x in rng.integers(0, q, size=d))
-            if not any(vec):
-                continue
-            v = vec if q != 2 else sum(b << i for i, b in enumerate(vec))
-            if instance.matroid.rank_of_vectors(vecs + [v]) == len(vecs) + 1:
-                vecs.append(v)
+        vecs = random_independent_vectors(instance.matroid, r, rng)
         fams.append(FFlat(frozenset(_span_vectors(vecs, q, d)), r))
     half = frozenset(range(1, d // 2 + 1))
     fams.append(FLabelClass(half))
@@ -702,6 +711,24 @@ class ProphetGapReport:
         return max(self.policies, key=lambda p: p.reward.mean)
 
 
+def _calibrate_bucketing(matroid, d: int, kappa: int, aux_trials: int, rng: np.random.Generator):
+    """Bucket layout and bucket choice from an auxiliary sample of hardness-
+    event draws: (opt estimate, layout, chosen bucket, rejections)."""
+    total = 0.0
+    draws = []
+    rejections = 0
+    for _ in range(aux_trials):
+        sample = sample_prophet_instance(d, kappa, rng, condition_on_e_hard=True)
+        rejections += sample.rejections
+        value, _ = matroid.weighted_rank(dict(sample.candidates), [e for e, _ in sample.candidates])
+        total += value
+        draws.append(sample.candidates)
+    opt_est = total / max(aux_trials, 1)
+    layout = schemes.bucket_layout(opt_est, matroid.full_rank)
+    chosen = schemes.choose_bucket(schemes.estimate_bucket_opts(matroid, draws, layout))
+    return opt_est, layout, chosen, rejections
+
+
 def prophet_hardness_gap(
     d: int,
     kappa: int,
@@ -721,44 +748,24 @@ def prophet_hardness_gap(
     """
     params = ProphetParams(d, kappa)
     matroid = DuplicatedLinearMatroid(2, params.ambient_dim, params.n)
-
-    aux_prophet = Accumulator()
-    aux_draws = []
-    rejections = 0
-    for _ in range(aux_trials):
-        sample = sample_prophet_instance(d, kappa, rng, condition_on_e_hard=True)
-        rejections += sample.rejections
-        value, _ = matroid.weighted_rank(dict(sample.candidates), [e for e, _ in sample.candidates])
-        aux_prophet = aux_prophet.add(value)
-        aux_draws.append(sample.candidates)
-    opt_est = aux_prophet.total / max(aux_prophet.count, 1)
-    layout = schemes.bucket_layout(opt_est, matroid.full_rank)
-    bucket_est = schemes.estimate_bucket_opts(matroid, aux_draws, layout)
-    chosen = schemes.choose_bucket(bucket_est)
+    _opt_est, layout, chosen, rejections = _calibrate_bucketing(matroid, d, kappa, aux_trials, rng)
 
     policies = schemes.gambler_policy_suite(params.level_sizes, bucketing=(layout, chosen))
-    prophet_acc = Accumulator()
-    policy_accs = {p.name: Accumulator() for p in policies}
     ratio_accs = {p.name: RatioAccumulator() for p in policies}
     for _ in range(trials):
         sample = sample_prophet_instance(d, kappa, rng, condition_on_e_hard=True)
         rejections += sample.rejections
         weights = dict(sample.candidates)
         prophet_value, _ = matroid.weighted_rank(weights, list(weights))
-        prophet_acc = prophet_acc.add(prophet_value)
         for policy in policies:
             value, _ = schemes.run_policy(policy, sample, rng)
-            policy_accs[policy.name] = policy_accs[policy.name].add(value)
             ratio_accs[policy.name] = ratio_accs[policy.name].add(value, prophet_value)
 
-    prophet_est = Estimate.from_accumulator(prophet_acc, sigmas)
+    # Every policy's denominator is the same prophet value, trial by trial.
+    prophet_est = Estimate.from_accumulator(ratio_accs[policies[0].name].y, sigmas)
     outcomes = tuple(
-        PolicyOutcome(
-            name,
-            Estimate.from_accumulator(policy_accs[name], sigmas),
-            ratio_accs[name].estimate(sigmas),
-        )
-        for name in policy_accs
+        PolicyOutcome(name, Estimate.from_accumulator(acc.x, sigmas), acc.estimate(sigmas))
+        for name, acc in ratio_accs.items()
     )
     return ProphetGapReport(
         d=d,
@@ -990,22 +997,17 @@ def rank_one_benchmark(
         lambda r: max(draw(r)), calibration_trials, rng
     )
     acc = RatioAccumulator()
-    gambler_acc = Accumulator()
-    prophet_acc = Accumulator()
     for _ in range(trials):
         values = draw(rng)
         stream = list(enumerate(values))
         pick = schemes.single_choice_prophet(stream, threshold)
         gambler = float(pick[1]) if pick is not None else 0.0
-        prophet = float(max(values))
-        acc = acc.add(gambler, prophet)
-        gambler_acc = gambler_acc.add(gambler)
-        prophet_acc = prophet_acc.add(prophet)
+        acc = acc.add(gambler, float(max(values)))
     return BenchmarkReport(
         name="rank-one-single-choice",
         trials=trials,
-        gambler=Estimate.from_accumulator(gambler_acc, sigmas),
-        prophet=Estimate.from_accumulator(prophet_acc, sigmas),
+        gambler=Estimate.from_accumulator(acc.x, sigmas),
+        prophet=Estimate.from_accumulator(acc.y, sigmas),
         ratio=acc.estimate(sigmas),
         target=1.0 / 3.0,
     )
@@ -1035,8 +1037,6 @@ def graphic_partition_benchmark(
 
     cache: dict = {}
     acc = RatioAccumulator()
-    gambler_acc = Accumulator()
-    prophet_acc = Accumulator()
     for _ in range(trials):
         weights = weight_draw(rng)
         stream = sorted(weights.items())
@@ -1051,13 +1051,11 @@ def graphic_partition_benchmark(
         )
         prophet, _ = graph.weighted_rank(weights, list(weights))
         acc = acc.add(value, prophet)
-        gambler_acc = gambler_acc.add(value)
-        prophet_acc = prophet_acc.add(prophet)
     return BenchmarkReport(
         name="graphic-partition-prophet",
         trials=trials,
-        gambler=Estimate.from_accumulator(gambler_acc, sigmas),
-        prophet=Estimate.from_accumulator(prophet_acc, sigmas),
+        gambler=Estimate.from_accumulator(acc.x, sigmas),
+        prophet=Estimate.from_accumulator(acc.y, sigmas),
         ratio=acc.estimate(sigmas),
         target=1.0 / 6.0,
     )
@@ -1087,28 +1085,21 @@ def prophet_bucketing_benchmark(
     *,
     aux_trials: int = 300,
     sigmas: float = DEFAULT_SIGMAS,
+    trace: Callable | None = None,
 ) -> BucketingBenchmarkReport:
     """Run the bucketing prophet on the leveled hard instance and compare
-    its mean reward with the opt/(4 (k+1)) guarantee."""
+    its mean reward with the opt/(4 (k+1)) guarantee.  ``trace`` receives
+    one record per arrival of the measured trials."""
     params = ProphetParams(d, kappa)
     matroid = DuplicatedLinearMatroid(2, params.ambient_dim, params.n)
-
-    aux_values = Accumulator()
-    draws = []
-    for _ in range(aux_trials):
-        sample = sample_prophet_instance(d, kappa, rng, condition_on_e_hard=True)
-        value, _ = matroid.weighted_rank(dict(sample.candidates), [e for e, _ in sample.candidates])
-        aux_values = aux_values.add(value)
-        draws.append(sample.candidates)
-    opt_est = aux_values.total / max(aux_values.count, 1)
-    layout = schemes.bucket_layout(opt_est, matroid.full_rank)
-    chosen = schemes.choose_bucket(schemes.estimate_bucket_opts(matroid, draws, layout))
+    opt_est, layout, chosen, _rejections = _calibrate_bucketing(matroid, d, kappa, aux_trials, rng)
 
     acc = Accumulator()
     for _ in range(trials):
         sample = sample_prophet_instance(d, kappa, rng, condition_on_e_hard=True)
         result = schemes.bucketing_prophet(
-            matroid, None, sample.candidates, opt_est, rng, precomputed=(layout, chosen)
+            matroid, None, sample.candidates, opt_est, rng,
+            precomputed=(layout, chosen), trace=trace,
         )
         acc = acc.add(result.value)
     reward = Estimate.from_accumulator(acc, sigmas)
@@ -1167,15 +1158,8 @@ class PartitionActiveBench:
         dim = self.value_dim
 
         def sample(rng: np.random.Generator) -> frozenset:
-            cols = [int(x) for x in rng.integers(0, 2**dim, size=m, dtype=np.uint64)]
-            active = []
-            for i, sup in enumerate(supports):
-                v = 0
-                for c in sup:
-                    v ^= cols[c]
-                if v == targets[i]:
-                    active.append(i)
-            return frozenset(active)
+            values = _sample_values(supports, m, dim, rng)
+            return frozenset(i for i, v in enumerate(values) if v == targets[i])
 
         return sample
 

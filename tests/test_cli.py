@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
+import pytest
 
+import pairsel
 from pairsel import cli
 
 
@@ -11,7 +16,7 @@ def run_json(argv, tmp_path, name="out.json"):
 
 
 def test_pi_test_exact_exit_zero(tmp_path, capsys):
-    code = cli.run(["pi-test", "--q", "2", "--d", "3", "--m", "2", "--n", "3", "--exact"])
+    code = cli.run(["pi-test", "--q", "2", "--d", "3", "--m", "2", "--n", "3"])
     captured = capsys.readouterr()
     assert code == 0
     assert "pass" in captured.out
@@ -200,3 +205,76 @@ def test_trace_log_written(tmp_path):
     )
     lines = [json.loads(l) for l in trace.read_text().splitlines()]
     assert lines and all({"element", "coin", "accepted"} <= set(r) for r in lines)
+
+
+def test_prophet_bench_trace_records_bucketing_decisions(tmp_path):
+    trace = tmp_path / "trace.jsonl"
+    code = cli.run(
+        ["prophet-bench", "--kappa", "2", "--d", "16", "--trials", "3", "--seed", "5",
+         "--trace", str(trace), "--output", str(tmp_path / "o.txt")]
+    )
+    assert code == 0
+    lines = [json.loads(l) for l in trace.read_text().splitlines()]
+    # One record per arrival: 8 + 4 candidates per trial on the hardness event.
+    assert len(lines) == 3 * 12
+    assert all({"element", "weight", "accepted"} <= set(r) for r in lines)
+    assert any(r["accepted"] for r in lines)
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--q", "5"],
+    ["pi-test", "--trials", "10"],
+    ["pi-test", "--exact"],
+    ["partition-bench", "--threads", "2"],
+    ["prophet-hardness", "--trace", "x"],
+    ["sigma-props", "--confidence", "2"],
+], ids=" ".join)
+def test_flag_the_command_does_not_read_exits_two(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.run(argv) == 2
+    assert not (tmp_path / "x").exists()
+
+
+def test_config_key_the_command_does_not_read_rejected(tmp_path, capsys):
+    config = tmp_path / "threads.json"
+    config.write_text(json.dumps({"threads": 2}))
+    assert cli.run(["certify", "--config", str(config)]) == 2
+    assert "threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("trials", "10"), ("confidence", "3"), ("trials", True), ("trials", 10.5),
+    ("seed", None), ("format", "xml"),
+])
+def test_config_value_of_wrong_type_exits_two(key, value, tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({key: value}))
+    code = cli.run(["crs-hardness", "--q", "5", "--d", "5", "--c", "2", "--config", str(config)])
+    assert code == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_config_integer_confidence_accepted_as_float(tmp_path):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"confidence": 3, "trials": 200}))
+    code, report = run_json(
+        ["crs-hardness", "--q", "5", "--d", "5", "--c", "2", "--config", str(config)], tmp_path
+    )
+    assert code == 0
+    assert report["header"]["config"]["confidence"] == 3.0
+    assert report["body"]["rank_estimate"]["sigmas"] == 3.0
+
+
+def test_sigma_props_zero_seeds_is_usage_error(capsys):
+    assert cli.run(["sigma-props", "--kappa", "2", "--d", "16", "--seeds", "0"]) == 2
+    assert "seeds >= 1" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pairsel.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, pairsel.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"

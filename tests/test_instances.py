@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import pytest
@@ -9,7 +8,6 @@ from pairsel.instances import (
     ProphetParams,
     check_polytope,
     pairwise_weight_test,
-    sample_crs_instance,
     sample_prophet_instance,
 )
 
@@ -52,7 +50,7 @@ def test_empirical_rank_below_paper_bound():
 
 
 def test_sample_through_module_function():
-    active = sample_crs_instance(5, 5, 2, gf.substream(1, "fn"))
+    active = CrsInstance(5, 5, 2).sample(gf.substream(1, "fn"))
     assert active.q == 5 and active.dim == 5
     assert active.labels == tuple(range(1, 6))
 
@@ -151,21 +149,6 @@ def test_condition_on_e_hard_reports_rejections():
     rng = gf.substream(8, "rej")
     sample = sample_prophet_instance(64, 3, rng, condition_on_e_hard=True)
     assert sample.rejections == 0  # overwhelming probability at this scale
-
-
-def test_prophet_sample_json():
-    rng = gf.substream(9, "json")
-    sample = sample_prophet_instance(16, 2, rng, condition_on_e_hard=True)
-    blob = json.loads(json.dumps(sample.to_json()))
-    assert blob["kind"] == "prophet"
-    assert blob["e_hard"] is True
-    assert len(blob["weights"]) == sample.params.n
-    label, (vector, weight) = next(iter(blob["weights"].items()))
-    assert sample.weight(vector, int(label)) == weight
-
-
-def test_crs_instance_json():
-    assert CrsInstance(5, 5, 2).to_json() == {"kind": "crs", "q": 5, "d": 5, "c": 2}
 
 
 def test_toy_exact_weight_marginals():

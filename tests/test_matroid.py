@@ -250,32 +250,3 @@ def test_sampled_partition_weighted_rank_never_exceeds_host():
         full, _ = g.weighted_rank(weights, range(6))
         part, _ = sub.weighted_rank(weights, range(6))
         assert part <= full + 1e-9
-
-
-# --- edge-list format ------------------------------------------------------
-
-
-def test_edge_list_roundtrip():
-    text = """
-    # comment line
-    0 1 2.5
-    1 2 1.0
-    2 0 0.5
-    """
-    g, weights = GraphicMatroid.from_edge_list(text)
-    assert g.vertices == 3
-    assert g.edges == ((0, 1), (1, 2), (2, 0))
-    assert weights == [2.5, 1.0, 0.5]
-
-
-def test_edge_list_without_weights():
-    g, weights = GraphicMatroid.from_edge_list("0 1\n1 2\n")
-    assert weights is None
-    assert g.full_rank == 2
-
-
-def test_edge_list_malformed():
-    with pytest.raises(ValueError):
-        GraphicMatroid.from_edge_list("0 1 2 3\n")
-    with pytest.raises(ValueError):
-        GraphicMatroid.from_edge_list("-1 0\n")

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from pairsel import gf, pifam
@@ -201,24 +199,3 @@ def test_nested_sigma_field_matrices_match_masks():
     for ell in (1, 2):
         matrix = ns.sigmas[ell - 1]
         assert matrix.column_vectors() == ns.column_masks(ell)
-
-
-def test_nested_sigma_json_roundtrip():
-    ns = pifam.sigma_prophet(16, 2, gf.substream(8, "json"), seed=8)
-    blob = json.loads(json.dumps(ns.to_json()))
-    back = pifam.NestedSigma.from_json(blob)
-    assert back.partitions == ns.partitions
-    assert back.sigmas == ns.sigmas
-    blob["sigmas"][0][0][0] ^= 1
-    with pytest.raises(ValueError):
-        pifam.NestedSigma.from_json(blob)
-
-
-def test_ordered_family_json_roundtrip():
-    fam = pifam.ordered_family(pifam.sigma_crs(2, 2, 3), 3, gf.substream(9, "oj"), seed=9)
-    blob = json.loads(json.dumps(fam.to_json()))
-    back = pifam.OrderedFamily.from_json(blob)
-    assert back == fam
-    blob["x"][0][0] ^= 1
-    with pytest.raises(ValueError):
-        pifam.OrderedFamily.from_json(blob)

@@ -54,9 +54,9 @@ def test_coin_adversarial_order_puts_heads_first():
     assert order == [e2, e3, e1]
 
 
-def test_null_scheme_balance_zero():
+def test_null_scheme_balance_zero(null_scheme):
     matroid = rank_one(["a"])
-    scheme = schemes.NullScheme(matroid)
+    scheme = null_scheme(matroid)
     assert scheme.run(["a"], {"a": False}) == ()
     assert scheme.selection_probability_given_active(
         "a", ["a"], {"a": False}, schemes.order_label_ascending

@@ -337,9 +337,9 @@ def test_prophet_gap_policies_never_beat_prophet():
 # --- OCRS balance ------------------------------------------------------------------
 
 
-def test_ocrs_balance_null_scheme_zero():
+def test_ocrs_balance_null_scheme_zero(null_scheme):
     matroid = DuplicatedLinearMatroid(2, 1, 1)
-    scheme = schemes.NullScheme(matroid)
+    scheme = null_scheme(matroid)
     e = LabeledVector(1, 1)
     report = verify.ocrs_balance(
         scheme, lambda r: [e], {"fixed": schemes.order_label_ascending},
