@@ -5,7 +5,8 @@ Every report embeds the resolved configuration, the seed, and the artifact
 version; identical argument vectors produce byte-identical JSON bodies
 (the timestamp lives in the header and is excluded from that contract).
 
-Exit codes: 0 all verdicts pass, 1 some verdict failed, 2 usage error.
+Exit codes: 0 all verdicts pass, 1 some verdict failed, 2 usage error or a
+rejected parameter, 3 any other error (a crash, never a failed verdict).
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
+import traceback
 import typing
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, is_dataclass
@@ -24,6 +27,7 @@ from fractions import Fraction
 
 from . import __version__, pifam, verify
 from .gf import substream
+from .instances import CrsInstance, ProphetParams
 
 SEED_ENV_VAR = "PAIRSEL_SEED"
 # Every command takes these flags, and also the ones its runner reads (COMMANDS).
@@ -68,16 +72,6 @@ FIELD_TYPES = {
 }
 
 
-def _default_trials(command: str) -> int:
-    # Each prophet trial performs many rank updates over GF(2)^{2d}; the
-    # sub-minute defaults differ accordingly.
-    if command in ("prophet-hardness", "prophet-bench"):
-        return 1_000
-    if command == "sigma-props":
-        return 10_000
-    return 100_000
-
-
 def _jsonable(obj):
     if isinstance(obj, Fraction):
         return {"fraction": f"{obj.numerator}/{obj.denominator}", "float": float(obj)}
@@ -97,49 +91,26 @@ def _jsonable(obj):
 
 
 def _run_pi_test(cfg: RunConfig, rng):
-    q = cfg.q or 2
-    m = cfg.m or 2
-    n = cfg.n or 3
-    d = cfg.d or 3
-    result = verify.exact_pairwise_check(cfg.construction, q, m, n, d)
-    passed = result.deviation == 0
-    body = {
-        "construction": cfg.construction,
-        "q": q,
-        "m": m,
-        "n": n,
-        "d": d,
-        "states": result.states,
-        "max_marginal_deviation": _jsonable(result.max_marginal_deviation),
-        "max_joint_deviation": _jsonable(result.max_joint_deviation),
-        "pass": passed,
-    }
-    return body, passed
+    result = verify.exact_pairwise_check(cfg.construction, cfg.q, cfg.m, cfg.n, cfg.d)
+    return result, result.deviation == 0
 
 
 def _run_crs_hardness(cfg: RunConfig, rng):
     report = verify.crs_hardness_gap(
         cfg.q, cfg.d, cfg.c, cfg.trials, rng, threads=cfg.threads, sigmas=cfg.confidence
     )
-    passed = report.vacuous or report.ratio_estimate.ci_high <= float(report.paper_bound)
-    body = _jsonable(report)
-    body["pass"] = passed
-    return body, passed
+    return report, report.vacuous or report.ratio_estimate.ci_high <= float(report.paper_bound)
 
 
 def _run_prophet_hardness(cfg: RunConfig, rng):
-    kappa = cfg.kappa or 4
-    d = cfg.d or 2 ** (2 * kappa)
-    report = verify.prophet_hardness_gap(d, kappa, cfg.trials, rng, sigmas=cfg.confidence)
+    report = verify.prophet_hardness_gap(cfg.d, cfg.kappa, cfg.trials, rng, sigmas=cfg.confidence)
     best = report.best_policy
     passed = (
         report.prophet.ci_low >= report.prophet_stated_bound
         and all(p.reward.ci_high <= report.gambler_stated_bound * 1.02 for p in report.policies)
         and best.ratio_to_prophet.ci_high <= report.ratio_stated_bound
     )
-    body = _jsonable(report)
-    body["pass"] = passed
-    return body, passed
+    return report, passed
 
 
 def _run_ocrs_bench(cfg: RunConfig, rng):
@@ -148,89 +119,70 @@ def _run_ocrs_bench(cfg: RunConfig, rng):
             cfg.q, cfg.d, cfg.c, cfg.trials, rng, sigmas=cfg.confidence, trace=trace
         )
     threshold = 1.0 / (4.0 * cfg.d)
-    passed = report.worst_min_ci_low() >= threshold
-    body = _jsonable(report)
-    body["threshold"] = threshold
-    body["pass"] = passed
-    return body, passed
+    return {**asdict(report), "threshold": threshold}, report.worst_min_ci_low() >= threshold
 
 
 def _run_prophet_bench(cfg: RunConfig, rng):
-    kappa = cfg.kappa or 4
-    d = cfg.d or 2 ** (2 * kappa)
     with _trace_writer(cfg.trace) as trace:
         report = verify.prophet_bucketing_benchmark(
-            d, kappa, cfg.trials, rng, sigmas=cfg.confidence, trace=trace
+            cfg.d, cfg.kappa, cfg.trials, rng, sigmas=cfg.confidence, trace=trace
         )
-    body = _jsonable(report)
-    body["pass"] = report.ok
-    return body, report.ok
+    return report, report.ok
 
 
 def _run_partition_bench(cfg: RunConfig, rng):
     rank_one = verify.rank_one_benchmark(cfg.trials, rng, sigmas=cfg.confidence)
     graphic = verify.graphic_partition_benchmark(cfg.trials, rng, sigmas=cfg.confidence)
-    passed = rank_one.ok and graphic.ok
-    body = {
-        "rank_one": _jsonable(rank_one),
-        "graphic": _jsonable(graphic),
-        "pass": passed,
-    }
-    return body, passed
+    return {"rank_one": rank_one, "graphic": graphic}, rank_one.ok and graphic.ok
 
 
 def _run_sigma_props(cfg: RunConfig, rng):
-    kappa = cfg.kappa or 3
-    d = cfg.d or 2 ** (2 * kappa)
-    trials = cfg.trials
     reports = []
-    all_ok = True
     for s in range(cfg.seeds):
         sub = substream(cfg.seed, "sigma-props", s)
-        ns = pifam.sigma_prophet(d, kappa, sub)
-        rep = pifam.check_nested_properties(ns, trials, sub)
-        all_ok &= rep.ok
+        rep = pifam.check_nested_properties(pifam.sigma_prophet(cfg.d, cfg.kappa, sub), cfg.trials, sub)
         reports.append(
-            {
-                "seed_index": s,
-                "ok": rep.ok,
-                "violations": list(rep.violations),
-                "survival": [list(r) for r in rep.survival_rows],
-            }
+            {"seed_index": s, "ok": rep.ok, "violations": rep.violations, "survival": rep.survival_rows}
         )
-    body = {"d": d, "kappa": kappa, "seeds": cfg.seeds, "reports": reports, "pass": all_ok}
-    return body, all_ok
+    report = {"d": cfg.d, "kappa": cfg.kappa, "seeds": cfg.seeds, "reports": reports}
+    return report, all(r["ok"] for r in reports)
 
 
 def _run_certify(cfg: RunConfig, rng):
     bench = verify.PartitionActiveBench()
     if cfg.distribution == "pairwise":
-        sampler = bench.pairwise_sampler()
-        target = cfg.target if cfg.target is not None else verify.PARTITION_BALANCE_TARGET
-    elif cfg.distribution == "product":
-        sampler = bench.product_sampler()
-        target = cfg.target if cfg.target is not None else verify.PRODUCT_BALANCE_TARGET
+        sampler, target = bench.pairwise_sampler(), verify.PARTITION_BALANCE_TARGET
     else:
-        raise ValueError(f"unknown distribution {cfg.distribution!r} (pairwise or product)")
+        sampler, target = bench.product_sampler(), verify.PRODUCT_BALANCE_TARGET
+    if cfg.target is not None:
+        target = cfg.target
     families = bench.families(rng)
     report = verify.certify_balance(
         sampler, bench.matroid, target, families, cfg.trials, rng, sigmas=cfg.confidence
     )
-    body = _jsonable(report)
-    body["pass"] = report.verdict
-    return body, report.verdict
+    return report, report.verdict
 
 
-# Command name -> (runner, the flags the runner reads besides COMMON_FLAGS).
+# Command name -> (runner, the flags the runner reads besides COMMON_FLAGS,
+# the command's defaults for flags whose RunConfig default is None).  Each
+# prophet trial performs many rank updates over GF(2)^{2d}; the sub-minute
+# trial defaults differ accordingly.
 COMMANDS = {
-    "crs-hardness": (_run_crs_hardness, ("q", "d", "c", "trials", "confidence", "threads")),
-    "prophet-hardness": (_run_prophet_hardness, ("d", "kappa", "trials", "confidence")),
-    "pi-test": (_run_pi_test, ("q", "d", "m", "n", "construction")),
-    "ocrs-bench": (_run_ocrs_bench, ("q", "d", "c", "trials", "confidence", "trace")),
-    "prophet-bench": (_run_prophet_bench, ("d", "kappa", "trials", "confidence", "trace")),
-    "partition-bench": (_run_partition_bench, ("trials", "confidence")),
-    "sigma-props": (_run_sigma_props, ("d", "kappa", "trials", "seeds")),
-    "certify": (_run_certify, ("trials", "confidence", "target", "distribution")),
+    "crs-hardness": (_run_crs_hardness, ("q", "d", "c", "trials", "confidence", "threads"),
+                     {"trials": 100_000}),
+    "prophet-hardness": (_run_prophet_hardness, ("d", "kappa", "trials", "confidence"),
+                         {"trials": 1_000, "kappa": 4}),
+    "pi-test": (_run_pi_test, ("q", "d", "m", "n", "construction"),
+                {"q": 2, "d": 3, "m": 2, "n": 3}),
+    "ocrs-bench": (_run_ocrs_bench, ("q", "d", "c", "trials", "confidence", "trace"),
+                   {"trials": 100_000}),
+    "prophet-bench": (_run_prophet_bench, ("d", "kappa", "trials", "confidence", "trace"),
+                      {"trials": 1_000, "kappa": 4}),
+    "partition-bench": (_run_partition_bench, ("trials", "confidence"), {"trials": 100_000}),
+    "sigma-props": (_run_sigma_props, ("d", "kappa", "trials", "seeds"),
+                    {"trials": 10_000, "kappa": 3}),
+    "certify": (_run_certify, ("trials", "confidence", "target", "distribution"),
+                {"trials": 100_000}),
 }
 
 
@@ -250,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Seeded experiments for pairwise-independent selection on matroids.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_runner, keys) in COMMANDS.items():
+    for name, (_runner, keys, _defaults) in COMMANDS.items():
         p = sub.add_parser(name)
         for key in (*keys, *COMMON_FLAGS):
             names = (f"--{key}", "-o") if key == "output" else (f"--{key}",)
@@ -275,52 +227,52 @@ def _config_value(key: str, value, allowed: tuple[type, ...]):
 
 
 def resolve_config(argv: list[str]) -> RunConfig:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    keys = [k for k in (*COMMANDS[ns.command][1], *COMMON_FLAGS) if k != "config"]
+    ns = build_parser().parse_args(argv)
+    _runner, flags, defaults = COMMANDS[ns.command]
+    keys = [k for k in (*flags, *COMMON_FLAGS) if k != "config"]
     file_values: dict = {}
     if ns.config:
-        with open(ns.config) as fh:
-            file_values = json.load(fh)
+        try:
+            with open(ns.config) as fh:
+                file_values = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"cannot read config file: {exc}") from None
         if not isinstance(file_values, dict):
             raise ValueError("config file must hold a JSON object")
         unknown = set(file_values) - set(keys)
         if unknown:
             raise ValueError(f"unknown config keys for {ns.command}: {sorted(unknown)}")
         file_values = {k: _config_value(k, v, FIELD_TYPES[k]) for k, v in file_values.items()}
-    values = {}
-    for key in keys:
-        flag = getattr(ns, key)
-        if flag is not None:
-            values[key] = flag
-        elif key in file_values:
-            values[key] = file_values[key]
+    # Flags override the config file, which overrides the command's defaults.
+    values = dict(defaults)
+    for source in (file_values, vars(ns)):
+        values.update((k, v) for k, v in source.items() if k in keys and v is not None)
     if "seed" not in values:
         values["seed"] = int(os.environ.get(SEED_ENV_VAR, "0"))
     cfg = RunConfig(command=ns.command, **values)
-    if cfg.trials is None and "trials" in keys:
-        cfg.trials = _default_trials(cfg.command)
+    if "kappa" in flags and cfg.d is None:
+        cfg.d = 2 ** (2 * cfg.kappa)  # the setting of the prophet hardness theorem
     _check_preconditions(cfg)
     return cfg
 
 
 def _check_preconditions(cfg: RunConfig):
+    """Reject a bad parameter before any trial runs; the instance constructors
+    own the conditions on (q, d, c) and (d, kappa)."""
     if cfg.command in ("crs-hardness", "ocrs-bench"):
         if cfg.q is None or cfg.d is None or cfg.c is None:
             raise ValueError(f"{cfg.command} requires --q, --d, and --c")
-        if cfg.d <= 2:
-            raise ValueError("precondition violated: d > 2")
-        if cfg.q ** (cfg.c - 1) < cfg.d:
-            raise ValueError("precondition violated: q^(c-1) >= d")
-    if cfg.command in ("prophet-hardness", "prophet-bench"):
-        kappa = cfg.kappa or 4
-        d = cfg.d or 2 ** (2 * kappa)
-        if d & (d - 1) or d < 2 ** (2 * kappa - 1):
-            raise ValueError("precondition violated: d a power of two with d >= 2^(2 kappa - 1)")
+        CrsInstance(cfg.q, cfg.d, cfg.c)
+    if cfg.kappa is not None:
+        ProphetParams(cfg.d, cfg.kappa)
     if cfg.trials is not None and cfg.trials < 1:
         raise ValueError("precondition violated: trials >= 1")
-    if cfg.command == "sigma-props" and cfg.seeds < 1:
+    if cfg.seeds < 1:
         raise ValueError("precondition violated: seeds >= 1")
+    if cfg.threads < 1:
+        raise ValueError("precondition violated: threads >= 1")
+    if not (math.isfinite(cfg.confidence) and cfg.confidence > 0):
+        raise ValueError("precondition violated: confidence positive and finite")
 
 
 def _flatten(value, prefix: str = "") -> list[tuple[str, object]]:
@@ -366,31 +318,30 @@ def build_report(cfg: RunConfig, body: dict) -> dict:
 def run(argv: list[str]) -> int:
     try:
         cfg = resolve_config(argv)
-    except SystemExit as exc:
+        result, passed = COMMANDS[cfg.command][0](cfg, substream(cfg.seed, cfg.command))
+        body = _jsonable(result)
+        body["pass"] = passed
+        report = build_report(cfg, body)
+        if cfg.format == "json":
+            rendered = json.dumps(report, sort_keys=True, indent=2)
+        elif cfg.format == "csv":
+            rendered = render_csv(report)
+        else:
+            rendered = render_text(report)
+        if cfg.output:
+            with open(cfg.output, "w") as fh:
+                fh.write(rendered + ("\n" if not rendered.endswith("\n") else ""))
+        else:
+            print(rendered)
+    except SystemExit as exc:  # argparse printed a usage error, or the help
         return 2 if exc.code else 0
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:  # a rejected flag, config value or parameter
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    rng = substream(cfg.seed, cfg.command)
-    try:
-        body, passed = COMMANDS[cfg.command][0](cfg, rng)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    report = build_report(cfg, body)
-    if cfg.format == "json":
-        rendered = json.dumps(report, sort_keys=True, indent=2)
-    elif cfg.format == "csv":
-        rendered = render_csv(report)
-    else:
-        rendered = render_text(report)
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
-            fh.write(rendered + ("\n" if not rendered.endswith("\n") else ""))
-    else:
-        print(rendered)
+    except Exception as exc:  # a crash is never reported as a failed verdict
+        traceback.print_exc()
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     return 0 if passed else 1
 
 

@@ -166,12 +166,7 @@ class ProphetParams:
     kappa: int
 
     def __post_init__(self):
-        if self.kappa < 1:
-            raise ValueError("need kappa >= 1")
-        if self.d < 2 or self.d & (self.d - 1):
-            raise ValueError(f"d must be a power of two, got {self.d}")
-        if self.d < 2 ** (2 * self.kappa - 1):
-            raise ValueError(f"need d >= 2^(2*kappa-1) = {2 ** (2 * self.kappa - 1)}")
+        pifam.check_prophet_params(self.d, self.kappa)
 
     @property
     def ambient_dim(self) -> int:

@@ -269,6 +269,17 @@ class NestedSigma:
         return self._sigmas
 
 
+def check_prophet_params(d: int, kappa: int) -> None:
+    """Raise ValueError unless kappa >= 1 and d is a power of two with
+    d >= 2^(2 kappa - 1), the sizes the nested construction needs."""
+    if kappa < 1:
+        raise ValueError("need kappa >= 1")
+    if d < 2 or d & (d - 1):
+        raise ValueError(f"d must be a power of two, got {d}")
+    if d < 2 ** (2 * kappa - 1):
+        raise ValueError(f"need d >= 2^(2*kappa - 1) = {2 ** (2 * kappa - 1)}, got {d}")
+
+
 def sigma_prophet(d: int, kappa: int, rng: np.random.Generator) -> NestedSigma:
     """Construct the nested system of pairwise linearly independent columns.
 
@@ -279,12 +290,7 @@ def sigma_prophet(d: int, kappa: int, rng: np.random.Generator) -> NestedSigma:
     exactly 2^(l-1) distinct principal basis vectors, all columns across
     levels are distinct, and each block has full column rank.
     """
-    if kappa < 1:
-        raise ValueError("need kappa >= 1")
-    if d < 2 or d & (d - 1):
-        raise ValueError(f"d must be a power of two, got {d}")
-    if d < 2 ** (2 * kappa - 1):
-        raise ValueError(f"need d >= 2^(2*kappa - 1) = {2 ** (2 * kappa - 1)}, got {d}")
+    check_prophet_params(d, kappa)
     parts: tuple[tuple[int, ...], ...] = tuple((2 * i, 2 * i + 1) for i in range(d // 2))
     partitions = [parts]
     for _ in range(2, kappa + 1):

@@ -191,40 +191,25 @@ def choose_bucket(estimates: BucketEstimates) -> int:
 
 @dataclass(frozen=True)
 class BucketingResult:
-    layout: BucketLayout
-    estimates: BucketEstimates
-    chosen: int
     accepted: tuple
     value: float
 
 
 def bucketing_prophet(
     matroid,
-    weight_sampler: Callable[[np.random.Generator], Sequence],
     stream: Sequence,
-    opt_estimate: float,
-    rng: np.random.Generator,
+    layout: BucketLayout,
+    chosen: int,
     *,
-    aux_trials: int = 10_000,
-    precomputed: tuple[BucketLayout, int] | None = None,
     trace: Callable | None = None,
 ) -> BucketingResult:
     """The bucketing prophet algorithm.
 
-    Builds the bucket layout from the supplied optimum estimate, estimates
-    each bucket's contribution from an auxiliary sample of weight draws,
-    then greedily accepts arriving elements whose weight lands in the best
-    bucket, subject to independence.  ``precomputed`` reuses a layout and
-    bucket choice across trials of the same distribution.
+    Greedily accepts arriving elements whose weight lands in the ``chosen``
+    bucket of ``layout``, subject to independence.  The layout and bucket
+    choice come from a calibration (``bucket_layout``, ``estimate_bucket_opts``
+    and ``choose_bucket``) shared across trials of the same distribution.
     """
-    if precomputed is not None:
-        layout, chosen = precomputed
-        estimates = BucketEstimates((chosen,), (float("nan"),), (float("nan"),), 0)
-    else:
-        layout = bucket_layout(opt_estimate, matroid.full_rank)
-        draws = [weight_sampler(rng) for _ in range(aux_trials)]
-        estimates = estimate_bucket_opts(matroid, draws, layout)
-        chosen = choose_bucket(estimates)
     tracker = matroid.tracker()
     accepted = []
     value = 0.0
@@ -235,7 +220,7 @@ def bucketing_prophet(
             value += w
         if trace is not None:
             trace({"element": repr(element), "weight": w, "accepted": take})
-    return BucketingResult(layout, estimates, chosen, tuple(accepted), value)
+    return BucketingResult(tuple(accepted), value)
 
 
 def single_choice_prophet(stream: Sequence, threshold: float):

@@ -165,6 +165,8 @@ def test_prophet_hardness_small(tmp_path):
     assert code == 0
     names = [p["name"] for p in report["body"]["policies"]]
     assert "accept-all-feasible" in names
+    # 10/kappa = 5: no gambler's ratio to the prophet can exceed it.
+    assert report["body"]["ratio_gate_vacuous"] is True
 
 
 def test_ocrs_bench_small(tmp_path):
@@ -268,6 +270,53 @@ def test_config_integer_confidence_accepted_as_float(tmp_path):
 def test_sigma_props_zero_seeds_is_usage_error(capsys):
     assert cli.run(["sigma-props", "--kappa", "2", "--d", "16", "--seeds", "0"]) == 2
     assert "seeds >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["crs-hardness", "--q", "5", "--d", "5", "--c", "2", "--trials", "100", "--threads", "-3"],
+    ["crs-hardness", "--q", "5", "--d", "5", "--c", "2", "--trials", "100", "--threads", "0"],
+    ["certify", "--trials", "500", "--confidence", "-3"],
+    ["certify", "--trials", "500", "--confidence", "0"],
+    ["certify", "--trials", "500", "--confidence", "nan"],
+    ["sigma-props", "--kappa", "0", "--seeds", "1"],
+    ["pi-test", "--q", "0"],
+    ["pi-test", "--d", "0"],
+    ["prophet-hardness", "--d", "0"],
+], ids=" ".join)
+def test_rejected_parameter_exits_two(argv, capsys):
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_config_negative_confidence_exits_two(tmp_path):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"confidence": -1}))
+    assert cli.run(["certify", "--trials", "500", "--config", str(config)]) == 2
+
+
+def test_header_config_shows_command_defaults():
+    prophet = cli.resolve_config(["prophet-hardness"])
+    assert (prophet.kappa, prophet.d, prophet.trials) == (4, 256, 1_000)
+    sigma = cli.resolve_config(["sigma-props", "--kappa", "2"])
+    assert (sigma.kappa, sigma.d, sigma.trials) == (2, 16, 10_000)
+    pi = cli.resolve_config(["pi-test"])
+    assert (pi.q, pi.d, pi.m, pi.n) == (2, 3, 2, 3)
+
+
+def test_unwritable_output_exits_three(tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "x.json"
+    assert cli.run(["pi-test", "--output", str(out)]) == 3
+    assert "error: FileNotFoundError" in capsys.readouterr().err
+
+
+def test_runner_crash_exits_three(monkeypatch, capsys):
+    def crash(cfg, rng):
+        raise RuntimeError("boom")
+
+    _runner, flags, defaults = cli.COMMANDS["pi-test"]
+    monkeypatch.setitem(cli.COMMANDS, "pi-test", (crash, flags, defaults))
+    assert cli.run(["pi-test"]) == 3
+    assert "error: RuntimeError: boom" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -102,11 +102,9 @@ def test_bucketing_single_bucket_degenerate():
     weights = {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}
     stream = sorted(weights.items())
 
-    def sampler(rng):
-        return stream
-
-    rng = gf.substream(1, "bucket")
-    result = schemes.bucketing_prophet(matroid, sampler, stream, 3.0, rng, aux_trials=50)
+    layout = schemes.bucket_layout(3.0, matroid.full_rank)
+    chosen = schemes.choose_bucket(schemes.estimate_bucket_opts(matroid, [stream] * 50, layout))
+    result = schemes.bucketing_prophet(matroid, stream, layout, chosen)
     rank_w, _ = matroid.weighted_rank(weights, list(weights))
     assert result.value == rank_w == 3.0
     assert result.value >= 0.5 * rank_w
@@ -133,9 +131,7 @@ def test_bucketing_per_trial_half_guarantee():
             members = [(e, w) for e, w in stream if layout.bucket_of(w) == bucket]
             if not members:
                 continue
-            result = schemes.bucketing_prophet(
-                matroid, None, stream, 4.0, rng, precomputed=(layout, bucket)
-            )
+            result = schemes.bucketing_prophet(matroid, stream, layout, bucket)
             restricted, _ = matroid.weighted_rank(dict(members), [e for e, _ in members])
             assert result.value >= 0.5 * restricted - 1e-9
 
