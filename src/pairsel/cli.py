@@ -273,6 +273,13 @@ def _check_preconditions(cfg: RunConfig):
         raise ValueError("precondition violated: threads >= 1")
     if not (math.isfinite(cfg.confidence) and cfg.confidence > 0):
         raise ValueError("precondition violated: confidence positive and finite")
+    # A target at or below 0 cannot fail, and a NaN target cannot pass.
+    if cfg.target is not None and not (math.isfinite(cfg.target) and cfg.target > 0):
+        raise ValueError("precondition violated: target positive and finite")
+    for key in ("m", "n"):
+        value = getattr(cfg, key)
+        if value is not None and value < 1:
+            raise ValueError(f"precondition violated: --{key} >= 1")
 
 
 def _flatten(value, prefix: str = "") -> list[tuple[str, object]]:

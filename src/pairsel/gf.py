@@ -122,11 +122,6 @@ class FieldMatrix:
     def column_vectors(self) -> list:
         return [self.column_vector(j) for j in range(self.cols)]
 
-    def packed_rows(self) -> list[int]:
-        if self.modulus != 2:
-            raise ValueError("packed representation is GF(2) only")
-        return [pack_bits(row) for row in self.entries]
-
     def multiply(self, other: "FieldMatrix") -> "FieldMatrix":
         if self.modulus != other.modulus:
             raise ValueError(f"modulus mismatch: {self.modulus} vs {other.modulus}")
@@ -140,44 +135,14 @@ class FieldMatrix:
         return FieldMatrix(self.rows, other.cols, q, tuple(out))
 
     def rank(self) -> int:
-        """GF(q) rank via Gaussian elimination on a working copy."""
-        if self.rows == 0 or self.cols == 0:
-            return 0
-        if self.modulus == 2:
-            return rank_gf2(self.packed_rows())
-        return _rank_modq([list(r) for r in self.entries], self.modulus)
+        """GF(q) rank: the rows folded into an incremental elimination basis."""
+        basis = vector_basis(self.modulus, self.cols)
+        for row in self.entries:
+            basis.add(pack_bits(row) if self.modulus == 2 else row)
+        return basis.rank
 
     def __repr__(self):
         return f"FieldMatrix({self.rows}x{self.cols} mod {self.modulus})"
-
-
-def rank_gf2(packed_rows: Iterable[int]) -> int:
-    """Rank of a GF(2) matrix given as packed row integers."""
-    basis = PackedBasis()
-    for row in packed_rows:
-        basis.add(row)
-    return basis.rank
-
-
-def _rank_modq(rows: list[list[int]], q: int) -> int:
-    n_rows, n_cols = len(rows), len(rows[0])
-    rank = 0
-    col = 0
-    while rank < n_rows and col < n_cols:
-        pivot = next((i for i in range(rank, n_rows) if rows[i][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], q - 2, q)
-        rows[rank] = [(v * inv) % q for v in rows[rank]]
-        for i in range(n_rows):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [(a - f * b) % q for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
 
 
 class PackedBasis:

@@ -212,17 +212,14 @@ class ProphetSample:
     order (levels ascending, labels ascending within a level); only these
     are materialized, since zero-weight elements contribute nothing to
     either player.  Levels that drew the correlated branch have no explicit
-    candidates and are recorded in ``full_block_levels``.
+    candidates.
     """
 
     params: ProphetParams
-    nested: pifam.NestedSigma
-    r_columns: tuple[int, ...]
     actives: tuple[pifam.ActiveSet, ...]
     e_hard: bool
     rejections: int
     candidates: tuple[tuple[LabeledVector, int], ...]
-    full_block_levels: tuple[int, ...]
 
     def matroid(self) -> DuplicatedLinearMatroid:
         return DuplicatedLinearMatroid(2, self.params.ambient_dim, self.params.n)
@@ -230,9 +227,6 @@ class ProphetSample:
     def weight(self, vector, label: int) -> int:
         ell = self.params.level_of_label(label)
         return self.params.weight_of_level(ell) if self.actives[ell - 1].contains(vector, label) else 0
-
-    def arrival_order(self):
-        return self.candidates
 
 
 def _r_column_masks(d: int, rng: np.random.Generator) -> list[int]:
@@ -242,13 +236,16 @@ def _r_column_masks(d: int, rng: np.random.Generator) -> list[int]:
     return [int.from_bytes(packed[:, c].tobytes(), "little") for c in range(d)]
 
 
+# Rejections after which conditioning on the hardness event gives up.
+MAX_REJECTIONS = 100_000
+
+
 def sample_prophet_instance(
     d: int,
     kappa: int,
     rng: np.random.Generator,
     *,
     condition_on_e_hard: bool = False,
-    max_rejections: int = 100_000,
 ) -> ProphetSample:
     """Draw weights and the fixed order for the leveled prophet instance.
 
@@ -280,14 +277,11 @@ def sample_prophet_instance(
 
         basis = PackedBasis()
         full_rank = sum(basis.add(c) for c in r_cols) == d
-        block_levels = tuple(
-            ell for ell, a in enumerate(actives, start=1) if a.branch == "D2"
-        )
-        e_hard = full_rank and not block_levels
+        e_hard = full_rank and all(a.branch == "D1" for a in actives)
 
         if condition_on_e_hard and not e_hard:
             rejections += 1
-            if rejections > max_rejections:
+            if rejections > MAX_REJECTIONS:
                 raise RuntimeError("rejection sampling for the hardness event did not converge")
             continue
 
@@ -299,13 +293,10 @@ def sample_prophet_instance(
             )
         return ProphetSample(
             params=params,
-            nested=nested,
-            r_columns=tuple(r_cols),
             actives=tuple(actives),
             e_hard=e_hard,
             rejections=rejections,
             candidates=tuple(candidates),
-            full_block_levels=block_levels,
         )
 
 
@@ -335,13 +326,16 @@ class WeightIndependenceReport:
         return any(r.rejected for r in self.rows) or any(r.rejected for r in self.marginal_rows)
 
 
+# Projected bits per side of each weight-pair contingency table.
+PROJECTION_BITS = 2
+
+
 def pairwise_weight_test(
     d: int,
     kappa: int,
     trials: int,
     rng: np.random.Generator,
     *,
-    bits: int = 2,
     level: float = 0.01,
     sigma_draws: int = 4,
 ) -> WeightIndependenceReport:
@@ -365,7 +359,7 @@ def pairwise_weight_test(
         raise ValueError("vectorized weight test supports d <= 64")
     params = ProphetParams(d, kappa)
     per_draw = max(trials // sigma_draws, 1)
-    cells = 1 << bits
+    cells = 1 << PROJECTION_BITS
 
     specs = []
     for ell in range(1, kappa + 1):
@@ -399,12 +393,12 @@ def pairwise_weight_test(
             label_a = list(params.labels_of_level(la))[ia]
             label_b = list(params.labels_of_level(lb))[ib]
 
-            # Fresh uniform rows of the random map at 2*bits distinct
+            # Fresh uniform rows of the random map at 2*PROJECTION_BITS distinct
             # coordinates; the projected bits are parities against the
             # two designed columns.
             phi_a = np.zeros(per_draw, dtype=np.int64)
             phi_b = np.zeros(per_draw, dtype=np.int64)
-            for k in range(bits):
+            for k in range(PROJECTION_BITS):
                 row = rng.integers(0, 2**64, size=per_draw, dtype=np.uint64)
                 bit = (np.bitwise_count(row & mask_a) & np.uint64(1)).astype(np.int64)
                 phi_a |= bit << k

@@ -65,7 +65,6 @@ class OrderedFamily:
     x: FieldMatrix
     sigma: FieldMatrix
     r: FieldMatrix
-    seed: int | None = None
 
     @property
     def q(self) -> int:
@@ -89,7 +88,6 @@ def ordered_family(
     rng: np.random.Generator,
     *,
     check_k: int | None = None,
-    seed: int | None = None,
 ) -> OrderedFamily:
     """Sample X = R * sigma with R uniform in GF(q)^{d x m}.
 
@@ -105,7 +103,7 @@ def ordered_family(
     if check_k is not None and not kwise_linearly_independent(sigma, check_k):
         raise ValueError(f"sigma columns are not {check_k}-wise linearly independent")
     r = random_matrix(d, sigma.rows, sigma.modulus, rng)
-    return OrderedFamily(x=r.multiply(sigma), sigma=sigma, r=r, seed=seed)
+    return OrderedFamily(x=r.multiply(sigma), sigma=sigma, r=r)
 
 
 @dataclass(frozen=True)
@@ -299,9 +297,13 @@ def sigma_prophet(d: int, kappa: int, rng: np.random.Generator) -> NestedSigma:
     return NestedSigma(d, kappa, partitions)
 
 
+# Continuations on which survival_frequency asserts survival against the spans.
+SURVIVAL_CROSS_CHECKS = 4
+
+
 def survival_frequency(
     ns: NestedSigma, level: int, target_level: int, trials: int, rng: np.random.Generator,
-    part_index: int = 0, cross_check: int = 4,
+    part_index: int = 0,
 ) -> float:
     """Empirical probability that a level's part stays alive at a later level
     over fresh continuations of the construction.
@@ -327,7 +329,7 @@ def survival_frequency(
                     container = keep.index(container) // 2
                 else:
                     alive = False
-        if t < cross_check:
+        if t < SURVIVAL_CROSS_CHECKS:
             alive_coords = sum(1 << c for p in parts for c in p)
             in_span = mask & ~alive_coords == 0
             if in_span != alive:

@@ -137,56 +137,32 @@ def bucket_layout(opt: float, rank: int) -> BucketLayout:
     return BucketLayout(opt=float(opt), rank=rank, k=k, base=float(opt) / (2.0 * rank))
 
 
-@dataclass(frozen=True)
-class BucketEstimates:
-    """Per-bucket means of the optimal restricted reward, with raw moments
-    kept so callers can attach whichever interval they like."""
-
-    indices: tuple[int, ...]
-    means: tuple[float, ...]
-    std_errors: tuple[float, ...]
-    trials: int
-
-
-def estimate_bucket_opts(matroid, draws: Sequence, layout: BucketLayout) -> BucketEstimates:
-    """Mean optimal reward within each candidate bucket over weight draws.
+def estimate_bucket_opts(matroid, draws: Sequence, layout: BucketLayout) -> tuple[float, ...]:
+    """Mean optimal reward within each bucket over weight draws, for buckets
+    1..k and then the unbounded bucket.
 
     Each draw is a realization [(element, weight), ...]; the bucket value of
     a draw is the weighted rank of the elements whose weight falls in it.
     """
-    indices = tuple(range(1, layout.k + 1)) + (INF_BUCKET,)
-    sums = {i: 0.0 for i in indices}
-    sums_sq = {i: 0.0 for i in indices}
+    indices = (*range(1, layout.k + 1), INF_BUCKET)
+    sums = dict.fromkeys(indices, 0.0)
     for draw in draws:
         per_bucket: dict[int, list] = {}
         for element, w in draw:
             b = layout.bucket_of(w)
             if b != 0:
                 per_bucket.setdefault(b, []).append((element, w))
-        for i in indices:
-            members = per_bucket.get(i)
-            value = 0.0
-            if members:
-                value, _ = matroid.weighted_rank(dict(members), [e for e, _ in members])
-            sums[i] += value
-            sums_sq[i] += value * value
+        for i, members in per_bucket.items():
+            sums[i] += matroid.weighted_rank(dict(members), [e for e, _ in members])[0]
     n = max(len(draws), 1)
-    means = tuple(sums[i] / n for i in indices)
-    ses = tuple(
-        math.sqrt(max(sums_sq[i] / n - (sums[i] / n) ** 2, 0.0) / n) for i in indices
-    )
-    return BucketEstimates(indices=indices, means=means, std_errors=ses, trials=len(draws))
+    return tuple(sums[i] / n for i in indices)
 
 
-def choose_bucket(estimates: BucketEstimates) -> int:
-    """Argmax bucket by estimated contribution; ties go to the lower index,
-    with the unbounded bucket considered last."""
-    best = None
-    best_mean = -1.0
-    for i, mean in zip(estimates.indices, estimates.means):
-        if mean > best_mean:
-            best, best_mean = i, mean
-    return best
+def choose_bucket(means: Sequence[float]) -> int:
+    """Argmax bucket of the ``estimate_bucket_opts`` means; ties go to the
+    lower index, with the unbounded bucket considered last."""
+    best = max(range(len(means)), key=means.__getitem__)
+    return INF_BUCKET if best == len(means) - 1 else best + 1
 
 
 @dataclass(frozen=True)
@@ -417,7 +393,7 @@ def run_policy(policy: OnlinePolicy, sample, rng: np.random.Generator, trace: Ca
     policy.reset(rng)
     value = 0.0
     accepted = []
-    for element, w in sample.arrival_order():
+    for element, w in sample.candidates:
         if w <= 0 or not tracker.would_accept(element):
             continue
         level = sample.params.level_of_label(element.label)

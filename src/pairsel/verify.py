@@ -12,14 +12,14 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import pifam, schemes
-from .gf import FieldMatrix, check_modulus
+from .gf import FieldMatrix, check_modulus, random_matrix
 from .instances import (
     CrsInstance,
     ProphetParams,
@@ -27,10 +27,17 @@ from .instances import (
     random_independent_vectors,
     sample_prophet_instance,
 )
-from .matroid import DuplicatedLinearMatroid, LabeledVector, SimplePartitionMatroid
+from .matroid import (
+    DuplicatedLinearMatroid,
+    LabeledVector,
+    SimplePartitionMatroid,
+    complete_graph,
+    sample_graphic_partition,
+)
 
 DEFAULT_SIGMAS = 3.0
 EXACT_TAPE_LIMIT = 2**24
+CHUNK_SIZE = 1024  # trials per run_chunks sub-stream
 
 
 # ---------------------------------------------------------------------------
@@ -169,20 +176,19 @@ def run_chunks(
     rng: np.random.Generator,
     *,
     threads: int = 1,
-    chunk_size: int = 1024,
-    reduce_fn: Callable = lambda a, b: a.merge(b),
 ):
-    """Run ``trials`` split into fixed-size chunks on derived sub-streams.
+    """Run ``trials`` split into chunks of ``CHUNK_SIZE`` on derived
+    sub-streams and merge the chunk accumulators.
 
     Chunk streams come from spawning the parent generator, so the merged
-    result is a pure function of (generator, trials, chunk_size) and the
-    thread count changes wall time only.
+    result is a pure function of (generator, trials) and the thread count
+    changes wall time only.
     """
     sizes = []
     remaining = trials
     while remaining > 0:
-        sizes.append(min(chunk_size, remaining))
-        remaining -= chunk_size
+        sizes.append(min(CHUNK_SIZE, remaining))
+        remaining -= CHUNK_SIZE
     streams = rng.spawn(len(sizes))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -191,7 +197,7 @@ def run_chunks(
         results = [chunk_fn(s, n) for s, n in zip(streams, sizes)]
     out = results[0]
     for r in results[1:]:
-        out = reduce_fn(out, r)
+        out = out.merge(r)
     return out
 
 
@@ -215,14 +221,21 @@ class ExactCheckResult:
         return max(self.max_marginal_deviation, self.max_joint_deviation)
 
 
-def _enumerate_maps(q: int, d: int, m: int):
-    """All matrices in GF(q)^{d x m} as row tuples, each with equal weight."""
+def _tally_maps(q: int, d: int, m: int, cols, subsets) -> tuple[dict, dict]:
+    """Enumerate every random map R in GF(q)^{d x m}, each with equal weight,
+    and count the column images ``(j, R col_j)`` and, for each subset s of
+    column indices, the joint images ``(s, (R col_j for j in s))``."""
+    marginals: dict = {}
+    joints: dict = {}
     for flat in itertools.product(range(q), repeat=d * m):
-        yield tuple(flat[i * m : (i + 1) * m] for i in range(d))
-
-
-def _apply(rows, col, q: int) -> tuple[int, ...]:
-    return tuple(sum(a * b for a, b in zip(row, col)) % q for row in rows)
+        rows = [flat[i * m : (i + 1) * m] for i in range(d)]
+        images = [tuple(sum(a * b for a, b in zip(row, col)) % q for row in rows) for col in cols]
+        for j, img in enumerate(images):
+            marginals[(j, img)] = marginals.get((j, img), 0) + 1
+        for s in subsets:
+            key = (s, tuple(images[j] for j in s))
+            joints[key] = joints.get(key, 0) + 1
+    return marginals, joints
 
 
 def exact_pairwise_check(
@@ -266,16 +279,8 @@ def exact_pairwise_check(
 
 
 def _exact_ordered(q, m, n, d, cols, states, k) -> ExactCheckResult:
-    marginals: dict = {}
-    joints: dict = {}
     subsets = [s for size in range(2, k + 1) for s in itertools.combinations(range(n), size)]
-    for rows in _enumerate_maps(q, d, m):
-        images = [_apply(rows, col, q) for col in cols]
-        for j, img in enumerate(images):
-            marginals[(j, img)] = marginals.get((j, img), 0) + 1
-        for s in subsets:
-            key = (s, tuple(images[j] for j in s))
-            joints[key] = joints.get(key, 0) + 1
+    marginals, joints = _tally_maps(q, d, m, cols, subsets)
 
     uniform = Fraction(1, q**d)
     max_marg = Fraction(0)
@@ -307,16 +312,7 @@ def _exact_unordered(q, m, n, d, cols, states, mixture_weight, block_probability
     w = Fraction(1, q**d) if mixture_weight is None else Fraction(mixture_weight)
     b = Fraction(1, q**d) if block_probability is None else Fraction(block_probability)
 
-    col_marg: dict = {}
-    col_joint: dict = {}
-    for rows in _enumerate_maps(q, d, m):
-        images = [_apply(rows, col, q) for col in cols]
-        for j, img in enumerate(images):
-            col_marg[(j, img)] = col_marg.get((j, img), 0) + 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                key = (i, images[i], j, images[j])
-                col_joint[key] = col_joint.get(key, 0) + 1
+    col_marg, col_joint = _tally_maps(q, d, m, cols, list(itertools.combinations(range(n), 2)))
 
     vectors = list(itertools.product(range(q), repeat=d))
     uniform = Fraction(1, q**d)
@@ -340,10 +336,7 @@ def _exact_unordered(q, m, n, d, cols, states, mixture_weight, block_probability
                 # only a full block includes both, with a single coin.
                 joint = w * b
             else:
-                if i < j:
-                    key = (i, v, j, u)
-                else:
-                    key = (j, u, i, v)
+                key = ((i, j), (v, u)) if i < j else ((j, i), (u, v))
                 joint = (1 - w) * Fraction(col_joint.get(key, 0), states) + w * b * b
             product = marginal(v, i) * marginal(u, j)
             max_joint = max(max_joint, abs(joint - product))
@@ -412,10 +405,7 @@ def crs_hardness_gap(
     def chunk(stream: np.random.Generator, count: int) -> Accumulator:
         acc = Accumulator()
         for _ in range(count):
-            r = FieldMatrix.from_rows(
-                stream.integers(0, q, size=(d, c)).tolist(), q
-            )
-            acc = acc.add(float(r.multiply(sigma).rank()))
+            acc = acc.add(float(random_matrix(d, c, q, stream).multiply(sigma).rank()))
         return acc
 
     acc = run_chunks(chunk, trials, rng, threads=threads)
@@ -547,7 +537,10 @@ class CertifierReport:
     target: float
     families: tuple[FamilyOutcome, ...]
     min_ratio: Estimate
-    verdict: bool
+    verdict: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "verdict", self.passes(self.target))
 
     def passes(self, target: float) -> bool:
         return all(
@@ -583,21 +576,18 @@ def certify_balance(
         (o.ratio for o in with_data), key=lambda e: e.mean,
         default=Estimate(float("nan"), 0, float("nan"), float("nan"), float("nan"), sigmas),
     )
-    report = CertifierReport(
-        target=target,
-        families=tuple(outcomes),
-        min_ratio=min_ratio,
-        verdict=all(o.insufficient or o.ratio.ci_high >= target for o in outcomes),
-    )
-    return report
+    return CertifierReport(target=target, families=tuple(outcomes), min_ratio=min_ratio)
 
 
-def crs_families(instance: CrsInstance, rng: np.random.Generator, n_random: int = 3) -> list:
+CRS_RANDOM_FAMILIES = 3  # crs_families draws this many random subsets and random flats
+
+
+def crs_families(instance: CrsInstance, rng: np.random.Generator) -> list:
     """The structured families tested on the CRS instance: full ground set,
     random explicit subsets, random flats x labels, label classes."""
     q, d = instance.q, instance.d
     fams: list = [FGroundSet()]
-    for t in range(n_random):
+    for t in range(CRS_RANDOM_FAMILIES):
         elements = set()
         for _ in range(2 * d):
             vec = tuple(int(x) for x in rng.integers(0, q, size=d))
@@ -606,7 +596,7 @@ def crs_families(instance: CrsInstance, rng: np.random.Generator, n_random: int 
             v = vec if q != 2 else sum(b << i for i, b in enumerate(vec))
             elements.add(LabeledVector(v, int(rng.integers(1, d + 1))))
         fams.append(FExplicit(f"random-subset-{t}", frozenset(elements)))
-    for t in range(n_random):
+    for t in range(CRS_RANDOM_FAMILIES):
         r = int(rng.integers(1, min(d, 2) + 1))
         vecs = random_independent_vectors(instance.matroid, r, rng)
         fams.append(FFlat(frozenset(_span_vectors(vecs, q, d)), r))
@@ -629,6 +619,11 @@ class DisjunctionReport:
     ok: bool
 
 
+# Sigma multiple within which each observed marginal must match its declared
+# probability before the disjunction bounds are checked.
+MARGINAL_SIGMAS = 5.0
+
+
 def disjunction_bound_check(
     probabilities: Sequence[float],
     joint_sampler: Callable[[np.random.Generator], Sequence[bool]],
@@ -636,7 +631,6 @@ def disjunction_bound_check(
     rng: np.random.Generator,
     *,
     sigmas: float = DEFAULT_SIGMAS,
-    marginal_sigmas: float = 5.0,
 ) -> DisjunctionReport:
     """Check the pairwise-independent disjunction lower bounds.
 
@@ -659,7 +653,7 @@ def disjunction_bound_check(
         any_count += hit
     marginals = tuple(Estimate.binomial(c, trials, sigmas) for c in event_counts)
     for p, est in zip(probabilities, marginals):
-        slack = marginal_sigmas * max(est.std_error, math.sqrt(p * (1 - p) / trials))
+        slack = MARGINAL_SIGMAS * max(est.std_error, math.sqrt(p * (1 - p) / trials))
         if abs(est.mean - p) > slack + 1e-12:
             raise ValueError(
                 f"marginal mismatch: observed {est.mean:.5f}, declared {p:.5f}"
@@ -816,6 +810,10 @@ class OcrsBalanceReport:
         return min(a.min_ci_low for a in self.per_adversary)
 
 
+# Active occurrences an element needs before its interval enters the minimum.
+MIN_OCCURRENCES = 30
+
+
 def ocrs_balance(
     scheme,
     sampler: Callable[[np.random.Generator], Sequence],
@@ -823,7 +821,6 @@ def ocrs_balance(
     trials: int,
     rng: np.random.Generator,
     *,
-    min_occurrences: int = 30,
     d1_factor: float = 1.0,
     sigmas: float = DEFAULT_SIGMAS,
     trace: Callable | None = None,
@@ -870,7 +867,7 @@ def ocrs_balance(
     reports = []
     for name in adversaries:
         qualifying = {
-            e: v for e, v in stats_per[name].items() if v[0] >= min_occurrences
+            e: v for e, v in stats_per[name].items() if v[0] >= MIN_OCCURRENCES
         }
         insufficient = len(stats_per[name]) - len(qualifying)
         min_ci = float("inf")
@@ -897,7 +894,7 @@ def ocrs_balance(
         )
     return OcrsBalanceReport(
         trials=trials,
-        min_occurrences=min_occurrences,
+        min_occurrences=MIN_OCCURRENCES,
         d1_factor=d1_factor,
         per_adversary=tuple(reports),
     )
@@ -915,8 +912,6 @@ def crs_ocrs_balance(
     trials: int,
     rng: np.random.Generator,
     *,
-    adversaries: Mapping[str, Callable] | None = None,
-    min_occurrences: int = 30,
     sigmas: float = DEFAULT_SIGMAS,
     trace: Callable | None = None,
 ) -> OcrsBalanceReport:
@@ -925,16 +920,13 @@ def crs_ocrs_balance(
     correlated branch into a one-sided factor 1 - 1/q^d."""
     instance = CrsInstance(q, d, c)
     scheme = schemes.GreedyOcrs(instance.matroid)
-    if adversaries is None:
-        adversaries = schemes.ADVERSARY_ORDERS
     factor = 1.0 - float(instance.marginal())
     return ocrs_balance(
         scheme,
         lambda r: instance.sample_d1(r).explicit,
-        adversaries,
+        schemes.ADVERSARY_ORDERS,
         trials,
         rng,
-        min_occurrences=min_occurrences,
         d1_factor=factor,
         sigmas=sigmas,
         trace=trace,
@@ -984,24 +976,30 @@ def _sample_values(supports, m: int, d: int, rng: np.random.Generator) -> list[i
     return values
 
 
+# The prophet benchmarks: values uniform on [0, 2^BENCH_VALUE_BITS); the
+# rank-one benchmark has RANK_ONE_ELEMENTS of them, the graphic one weighs
+# the edges of K4.  Each *_CALIBRATION is the number of draws per threshold.
+BENCH_VALUE_BITS = 10
+RANK_ONE_ELEMENTS = 5
+RANK_ONE_CALIBRATION = 4096
+GRAPHIC_CALIBRATION = 256
+
+
 def rank_one_benchmark(
     trials: int,
     rng: np.random.Generator,
     *,
-    n_elements: int = 5,
-    d: int = 10,
-    calibration_trials: int = 4096,
     sigmas: float = DEFAULT_SIGMAS,
 ) -> BenchmarkReport:
     """Single-choice threshold prophet on pairwise-independent uniform
     values built from the random-map family; target ratio 1/3."""
-    supports, m = _packed_family_sampler(n_elements)
+    supports, m = _packed_family_sampler(RANK_ONE_ELEMENTS)
 
     def draw(r):
-        return _sample_values(supports, m, d, r)
+        return _sample_values(supports, m, BENCH_VALUE_BITS, r)
 
     threshold = schemes.calibrate_threshold(
-        lambda r: max(draw(r)), calibration_trials, rng
+        lambda r: max(draw(r)), RANK_ONE_CALIBRATION, rng
     )
     acc = RatioAccumulator()
     for _ in range(trials):
@@ -1024,23 +1022,16 @@ def graphic_partition_benchmark(
     trials: int,
     rng: np.random.Generator,
     *,
-    graph=None,
-    d: int = 10,
-    calibration_trials: int = 256,
     sigmas: float = DEFAULT_SIGMAS,
 ) -> BenchmarkReport:
-    """Partition-based prophet on a graphic matroid with pairwise-independent
-    weights; the random-permutation partition gives alpha = 1/2 for graphs,
-    hence target ratio 1/6."""
-    from .matroid import complete_graph, sample_graphic_partition
-
-    if graph is None:
-        graph = complete_graph(4)
-    n_edges = len(graph.edges)
-    supports, m = _packed_family_sampler(n_edges)
+    """Partition-based prophet on the graphic matroid of K4 with pairwise-
+    independent weights; the random-permutation partition gives alpha = 1/2
+    for graphs, hence target ratio 1/6."""
+    graph = complete_graph(4)
+    supports, m = _packed_family_sampler(len(graph.edges))
 
     def weight_draw(r) -> dict:
-        return dict(enumerate(_sample_values(supports, m, d, r)))
+        return dict(enumerate(_sample_values(supports, m, BENCH_VALUE_BITS, r)))
 
     cache: dict = {}
     acc = RatioAccumulator()
@@ -1053,7 +1044,7 @@ def graphic_partition_benchmark(
             weight_draw,
             stream,
             rng,
-            calibration_trials=calibration_trials,
+            calibration_trials=GRAPHIC_CALIBRATION,
             threshold_cache=cache,
         )
         prophet, _ = graph.weighted_rank(weights, list(weights))
@@ -1123,46 +1114,36 @@ def prophet_bucketing_benchmark(
 # Pairwise actives on a partition matroid (the positive certificate)
 
 
-@dataclass(frozen=True)
+# The certificate benchmark: PARTITION_PARTS parts of PART_SIZE elements, each
+# element active with probability 1/2^VALUE_DIM.  PART_SIZE <= 2^VALUE_DIM
+# keeps the marginals inside the matroid polytope.
+PARTITION_PARTS = 10
+PART_SIZE = 8
+VALUE_DIM = 3
+PARTITION_RANDOM_FAMILIES = 4  # random explicit subsets per families call
+
+
 class PartitionActiveBench:
     """A ten-part benchmark whose active events are pairwise independent
     with marginals summing to one per part."""
 
-    parts: int = 10
-    part_size: int = 8
-    value_dim: int = 3
-
-    def __post_init__(self):
-        if self.part_size > 2**self.value_dim:
-            raise ValueError("marginals would leave the matroid polytope")
-
-    @property
-    def n(self) -> int:
-        return self.parts * self.part_size
+    n = PARTITION_PARTS * PART_SIZE
+    marginal = 1.0 / 2**VALUE_DIM
 
     @property
     def matroid(self) -> SimplePartitionMatroid:
         return SimplePartitionMatroid.from_parts(
-            [range(i * self.part_size, (i + 1) * self.part_size) for i in range(self.parts)]
+            [range(i * PART_SIZE, (i + 1) * PART_SIZE) for i in range(PARTITION_PARTS)]
         )
-
-    @property
-    def marginal(self) -> float:
-        return 1.0 / 2**self.value_dim
-
-    def _supports(self):
-        supports, m = _packed_family_sampler(self.n)
-        targets = [(i % (2**self.value_dim - 1)) + 1 for i in range(self.n)]
-        return supports, m, targets
 
     def pairwise_sampler(self) -> Callable[[np.random.Generator], frozenset]:
         """Element i is active iff its family vector hits its fixed target;
-        the events are pairwise independent Bernoulli(1/2^value_dim)."""
-        supports, m, targets = self._supports()
-        dim = self.value_dim
+        the events are pairwise independent Bernoulli(1/2^VALUE_DIM)."""
+        supports, m = _packed_family_sampler(self.n)
+        targets = [(i % (2**VALUE_DIM - 1)) + 1 for i in range(self.n)]
 
         def sample(rng: np.random.Generator) -> frozenset:
-            values = _sample_values(supports, m, dim, rng)
+            values = _sample_values(supports, m, VALUE_DIM, rng)
             return frozenset(i for i, v in enumerate(values) if v == targets[i])
 
         return sample
@@ -1178,13 +1159,11 @@ class PartitionActiveBench:
 
         return sample
 
-    def families(self, rng: np.random.Generator, n_random: int = 4) -> list:
+    def families(self, rng: np.random.Generator) -> list:
         fams: list = [FGroundSet()]
-        for i in range(self.parts):
-            fams.append(
-                FExplicit(f"part-{i}", frozenset(range(i * self.part_size, (i + 1) * self.part_size)))
-            )
-        for t in range(n_random):
+        for i in range(PARTITION_PARTS):
+            fams.append(FExplicit(f"part-{i}", frozenset(range(i * PART_SIZE, (i + 1) * PART_SIZE))))
+        for t in range(PARTITION_RANDOM_FAMILIES):
             size = int(rng.integers(2, self.n))
             chosen = rng.choice(self.n, size=size, replace=False)
             fams.append(FExplicit(f"random-subset-{t}", frozenset(int(i) for i in chosen)))

@@ -282,16 +282,28 @@ def test_sigma_props_zero_seeds_is_usage_error(capsys):
     ["pi-test", "--q", "0"],
     ["pi-test", "--d", "0"],
     ["prophet-hardness", "--d", "0"],
+    ["certify", "--trials", "500", "--target", "-5"],
+    ["certify", "--trials", "500", "--target", "0"],
+    ["certify", "--trials", "500", "--target", "nan"],
+    ["certify", "--trials", "500", "--target", "inf"],
 ], ids=" ".join)
 def test_rejected_parameter_exits_two(argv, capsys):
     assert cli.run(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_config_negative_confidence_exits_two(tmp_path):
+def test_config_negative_confidence_exits_two(tmp_path, capsys):
     config = tmp_path / "conf.json"
-    config.write_text(json.dumps({"confidence": -1}))
-    assert cli.run(["certify", "--trials", "500", "--config", str(config)]) == 2
+    for key, value in (("confidence", -1), ("target", -5), ("target", 0), ("target", 0.0)):
+        config.write_text(json.dumps({key: value}))
+        assert cli.run(["certify", "--trials", "500", "--config", str(config)]) == 2
+        assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--m", "-1"), ("--m", "0"), ("--n", "0")])
+def test_pi_test_rejection_names_the_flag(flag, value, capsys):
+    assert cli.run(["pi-test", flag, value]) == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_header_config_shows_command_defaults():

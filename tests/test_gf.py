@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,6 +123,19 @@ def test_rank_invariant_under_row_permutation(q, r, c, seed):
     perm = rng.permutation(r)
     shuffled = gf.FieldMatrix.from_rows([m.entries[int(i)] for i in perm], q)
     assert shuffled.rank() == m.rank()
+
+
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.integers(1, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_rank_counts_distinct_row_combinations(q, r, c, data):
+    # Brute-force oracle: a row space of dimension k has exactly q^k points.
+    rows = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=c, max_size=c),
+                              min_size=r, max_size=r))
+    points = {
+        tuple(sum(a * x for a, x in zip(coeffs, col)) % q for col in zip(*rows))
+        for coeffs in itertools.product(range(q), repeat=r)
+    }
+    assert len(points) == q ** gf.FieldMatrix.from_rows(rows, q).rank()
 
 
 def test_rank_does_not_mutate_input():

@@ -90,8 +90,9 @@ def test_bucket_of_boundaries():
 
 
 def test_choose_bucket_tie_breaks_to_lower_index():
-    est = schemes.BucketEstimates((1, 2, schemes.INF_BUCKET), (3.0, 3.0, 3.0), (0, 0, 0), 10)
-    assert schemes.choose_bucket(est) == 1
+    assert schemes.choose_bucket((3.0, 3.0, 3.0)) == 1
+    assert schemes.choose_bucket((1.0, 3.0, 3.0)) == 2
+    assert schemes.choose_bucket((1.0, 2.0, 3.0)) == schemes.INF_BUCKET
 
 
 def test_bucketing_single_bucket_degenerate():

@@ -59,8 +59,8 @@ def test_run_chunks_thread_invariance():
             acc = acc.add(float(rng.random()))
         return acc
 
-    one = verify.run_chunks(chunk, 5000, gf.substream(1, "th"), threads=1, chunk_size=512)
-    four = verify.run_chunks(chunk, 5000, gf.substream(1, "th"), threads=4, chunk_size=512)
+    one = verify.run_chunks(chunk, 5000, gf.substream(1, "th"), threads=1)
+    four = verify.run_chunks(chunk, 5000, gf.substream(1, "th"), threads=4)
     assert one == four
 
 
@@ -252,9 +252,7 @@ def test_certifier_insufficient_family_reported():
 
 def test_partition_bench_marginals_in_polytope():
     bench = verify.PartitionActiveBench()
-    assert bench.part_size * bench.marginal <= 1.0
-    with pytest.raises(ValueError):
-        verify.PartitionActiveBench(part_size=9)
+    assert verify.PART_SIZE * bench.marginal <= 1.0
 
 
 def test_pairwise_sampler_marginals():
@@ -343,7 +341,7 @@ def test_ocrs_balance_null_scheme_zero(null_scheme):
     e = LabeledVector(1, 1)
     report = verify.ocrs_balance(
         scheme, lambda r: [e], {"fixed": schemes.order_label_ascending},
-        60, gf.substream(22, "null"), min_occurrences=30,
+        60, gf.substream(22, "null"),
     )
     adv = report.per_adversary[0]
     assert adv.pooled.mean == 0.0
@@ -356,7 +354,7 @@ def test_ocrs_balance_always_active_singleton_exactly_half():
     e = LabeledVector(1, 1)
     report = verify.ocrs_balance(
         scheme, lambda r: [e], {"fixed": schemes.order_label_ascending},
-        60, gf.substream(23, "half"), min_occurrences=30,
+        60, gf.substream(23, "half"),
     )
     adv = report.per_adversary[0]
     assert adv.min_mean == 0.5
