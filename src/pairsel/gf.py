@@ -73,10 +73,6 @@ def pack_bits(vector: Iterable[int]) -> int:
     return packed
 
 
-def unpack_bits(packed: int, dim: int) -> tuple[int, ...]:
-    return tuple((packed >> i) & 1 for i in range(dim))
-
-
 @dataclass(frozen=True)
 class FieldMatrix:
     """Dense immutable matrix over GF(q), entries stored row-major."""

@@ -71,93 +71,6 @@ class CrsInstance:
         return pifam.ActiveSet(self.q, self.d, self.labels(), explicit, frozenset(), "D1")
 
 
-def _random_nonzero_vector(q: int, d: int, rng: np.random.Generator):
-    """Uniform nonzero vector of GF(q)^d in canonical form, redrawn until nonzero."""
-    while True:
-        v = tuple(int(x) for x in rng.integers(0, q, size=d))
-        if any(v):
-            return v if q != 2 else sum(b << i for i, b in enumerate(v))
-
-
-def random_independent_vectors(matroid: DuplicatedLinearMatroid, r: int, rng: np.random.Generator) -> list:
-    """r linearly independent vectors, each redrawn until it is nonzero and
-    independent of the ones before it."""
-    vectors: list = []
-    while len(vectors) < r:
-        v = _random_nonzero_vector(matroid.q, matroid.dim, rng)
-        if matroid.rank_of_vectors(vectors + [v]) == len(vectors) + 1:
-            vectors.append(v)
-    return vectors
-
-
-@dataclass(frozen=True)
-class PolytopeReport:
-    families_tested: int
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_polytope(instance: CrsInstance, subset_trials: int, rng: np.random.Generator) -> PolytopeReport:
-    """Check mu(S) = |S|/q^d <= Rank(S) on structured families.
-
-    Tests random subsets of nonzero labeled vectors, random low-rank flats
-    crossed with all labels, and the full ground set (handled analytically:
-    mu(E) = d = Rank(E)).  Loop-only sets are excluded: the literal mixture
-    gives the zero vector a positive marginal even though it is a loop, a
-    known artifact that no selection rule ever touches.
-    """
-    q, d = instance.q, instance.d
-    matroid = instance.matroid
-    violations: list[str] = []
-    tested = 0
-    denom = Fraction(1, q**d)
-
-    # Full ground set: d * q^d elements of marginal 1/q^d against rank d.
-    tested += 1
-    if Fraction(d * q**d, q**d) > d:
-        violations.append("ground set")
-
-    for t in range(subset_trials):
-        size = int(rng.integers(1, 3 * d + 1))
-        elems = {
-            LabeledVector(_random_nonzero_vector(q, d, rng), int(rng.integers(1, d + 1)))
-            for _ in range(size)
-        }
-        tested += 1
-        mu = len(elems) * denom
-        rank = matroid.rank(elems)
-        if mu > rank:
-            violations.append(f"random subset #{t} (|S|={len(elems)}, rank={rank})")
-
-    for t in range(subset_trials):
-        r = int(rng.integers(1, min(d, 3) + 1))
-        flat = _span_vectors(random_independent_vectors(matroid, r, rng), q, d)
-        tested += 1
-        mu = len(flat) * d * denom
-        if mu > r:
-            violations.append(f"flat #{t} (rank {r})")
-
-    return PolytopeReport(families_tested=tested, violations=tuple(violations))
-
-
-def _span_vectors(vectors, q: int, d: int) -> list:
-    """All q^rank points of the span of the given (independent) vectors."""
-    points = {0 if q == 2 else (0,) * d}
-    for v in vectors:
-        new = set()
-        for p in points:
-            for coeff in range(1, q):
-                if q == 2:
-                    new.add(p ^ v)
-                else:
-                    new.add(tuple((a + coeff * b) % q for a, b in zip(p, v)))
-        points |= new
-    return sorted(points)
-
-
 @dataclass(frozen=True)
 class ProphetParams:
     """Parameters of the leveled weight distribution on GF(2)^{2d} x [n]."""
@@ -180,11 +93,6 @@ class ProphetParams:
     def n(self) -> int:
         return sum(self.level_sizes)
 
-    @property
-    def theorem_faithful(self) -> bool:
-        """True in the exact setting of the hardness statement, d = 2^(2 kappa)."""
-        return self.d == 2 ** (2 * self.kappa)
-
     def labels_of_level(self, ell: int) -> range:
         offset = sum(self.level_sizes[: ell - 1])
         return range(offset + 1, offset + self.level_sizes[ell - 1] + 1)
@@ -199,9 +107,6 @@ class ProphetParams:
 
     def weight_of_level(self, ell: int) -> int:
         return 2**ell
-
-    def e_hard_lower_bound(self) -> float:
-        return 1.0 - (self.kappa + 1) / 2.0**self.d
 
 
 @dataclass(frozen=True)

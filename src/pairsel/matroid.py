@@ -2,9 +2,9 @@
 
 Covers the matroid classes the experiments run on: duplicated linear
 matroids over GF(q)^dim (labeled parallel copies), simple partition
-matroids, rank-one matroids, and graphic matroids.  Ground sets of linear
-matroids are never materialized; every query takes an explicit element
-collection, plus lazily represented full-label blocks for active sets.
+matroids, and graphic matroids.  Ground sets of linear matroids are never
+materialized; every query takes an explicit element collection, plus lazily
+represented full-label blocks for active sets.
 
 All matroid descriptors are immutable; queries are read-only.
 """
@@ -12,7 +12,7 @@ All matroid descriptors are immutable; queries are read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -241,11 +241,6 @@ class SimplePartitionMatroid:
         return any(self.part_of(f) == part for f in S)
 
     weighted_rank = _weighted_rank
-
-
-def rank_one(elements: Iterable) -> SimplePartitionMatroid:
-    """The rank-one matroid: independent sets are singletons and empty."""
-    return SimplePartitionMatroid.from_parts([elements])
 
 
 class _UnionFind:

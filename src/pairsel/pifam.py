@@ -45,19 +45,6 @@ def pairwise_linearly_independent(sigma: FieldMatrix) -> bool:
     return True
 
 
-def kwise_linearly_independent(sigma: FieldMatrix, k: int) -> bool:
-    """Brute-force check that every <= k columns are linearly independent.
-
-    Exponential in k; intended for the small matrices used in exact tests.
-    """
-    for size in range(1, min(k, sigma.cols) + 1):
-        for subset in itertools.combinations(range(sigma.cols), size):
-            stacked = FieldMatrix.from_columns([sigma.column(j) for j in subset], sigma.modulus)
-            if stacked.rank() != size:
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class OrderedFamily:
     """Output matrix of the random-map construction plus its provenance."""
@@ -82,26 +69,17 @@ class OrderedFamily:
         return self.x.column_vectors()
 
 
-def ordered_family(
-    sigma: FieldMatrix,
-    d: int,
-    rng: np.random.Generator,
-    *,
-    check_k: int | None = None,
-) -> OrderedFamily:
+def ordered_family(sigma: FieldMatrix, d: int, rng: np.random.Generator) -> OrderedFamily:
     """Sample X = R * sigma with R uniform in GF(q)^{d x m}.
 
     Any k columns of X whose sigma-preimages are linearly independent are
     mutually independent, and every column is uniform on GF(q)^d.  Pairwise
-    linear independence of sigma's columns is always verified; pass
-    ``check_k`` to verify k-wise linear independence by brute force.
+    linear independence of sigma's columns is always verified.
     """
     if d < sigma.rows:
         raise ValueError(f"output dimension {d} below input dimension {sigma.rows}")
     if not pairwise_linearly_independent(sigma):
         raise ValueError("sigma columns are not pairwise linearly independent")
-    if check_k is not None and not kwise_linearly_independent(sigma, check_k):
-        raise ValueError(f"sigma columns are not {check_k}-wise linearly independent")
     r = random_matrix(d, sigma.rows, sigma.modulus, rng)
     return OrderedFamily(x=r.multiply(sigma), sigma=sigma, r=r)
 
@@ -251,9 +229,6 @@ class NestedSigma:
             for window in _window_columns(part):
                 masks.append(sum(1 << c for c in window))
         return masks
-
-    def columns_per_level(self) -> list[int]:
-        return [len(level) * (len(level[0]) // 2) for level in self.partitions]
 
     @property
     def sigmas(self) -> list[FieldMatrix]:

@@ -2,8 +2,8 @@
 
 The greedy coin-flipping online contention resolution scheme, the bucketing
 prophet algorithm, the single-choice threshold prophet, the partition-based
-prophet, the offline prophet baseline, and the suite of gambler policies
-exercised by the hardness experiments.
+prophet, and the suite of gambler policies exercised by the hardness
+experiments.
 
 Every accepted set stays independent by construction: schemes go through
 the matroid's incremental tracker and never force an infeasible element.
@@ -125,9 +125,6 @@ class BucketLayout:
             upper *= 2.0
             i += 1
         return i
-
-    def boundaries(self) -> list[float]:
-        return [self.base * 2.0**i for i in range(self.k + 1)]
 
 
 def bucket_layout(opt: float, rank: int) -> BucketLayout:
@@ -284,12 +281,6 @@ def partition_prophet(
             f"is dependent in the host matroid"
         )
     return value, tuple(accepted)
-
-
-def offline_prophet(matroid, weights: Mapping) -> tuple[float, tuple]:
-    """The prophet baseline: the maximum-weight independent set value."""
-    support = [e for e, w in weights.items() if w > 0]
-    return matroid.weighted_rank(weights, support)
 
 
 class OnlinePolicy:

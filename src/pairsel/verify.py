@@ -20,13 +20,7 @@ import numpy as np
 
 from . import pifam, schemes
 from .gf import FieldMatrix, check_modulus, random_matrix
-from .instances import (
-    CrsInstance,
-    ProphetParams,
-    _span_vectors,
-    random_independent_vectors,
-    sample_prophet_instance,
-)
+from .instances import CrsInstance, ProphetParams, sample_prophet_instance
 from .matroid import (
     DuplicatedLinearMatroid,
     LabeledVector,
@@ -94,12 +88,6 @@ class Estimate:
     @classmethod
     def from_samples(cls, xs: Iterable[float], sigmas: float = DEFAULT_SIGMAS) -> "Estimate":
         return cls.from_accumulator(Accumulator.from_samples(xs), sigmas)
-
-    @classmethod
-    def binomial(cls, successes: int, trials: int, sigmas: float = DEFAULT_SIGMAS) -> "Estimate":
-        p = successes / trials
-        se = math.sqrt(p * (1 - p) / trials)
-        return cls(p, trials, se, p - sigmas * se, p + sigmas * se, sigmas)
 
     def scaled(self, factor: float, offset: float = 0.0) -> "Estimate":
         lo = factor * self.ci_low + offset
@@ -469,13 +457,7 @@ class FExplicit:
     elements: frozenset
 
     def intersect(self, active, matroid):
-        if isinstance(active, pifam.ActiveSet):
-            hit = [e for e in active.explicit if e in self.elements]
-            hit.extend(e for e in self.elements
-                       if isinstance(e, LabeledVector) and e.label in active.full_blocks)
-            hit = list(dict.fromkeys(hit))
-        else:
-            hit = [e for e in active if e in self.elements]
+        hit = [e for e in active if e in self.elements]
         return len(hit), matroid.rank(hit)
 
 
@@ -577,101 +559,6 @@ def certify_balance(
         default=Estimate(float("nan"), 0, float("nan"), float("nan"), float("nan"), sigmas),
     )
     return CertifierReport(target=target, families=tuple(outcomes), min_ratio=min_ratio)
-
-
-CRS_RANDOM_FAMILIES = 3  # crs_families draws this many random subsets and random flats
-
-
-def crs_families(instance: CrsInstance, rng: np.random.Generator) -> list:
-    """The structured families tested on the CRS instance: full ground set,
-    random explicit subsets, random flats x labels, label classes."""
-    q, d = instance.q, instance.d
-    fams: list = [FGroundSet()]
-    for t in range(CRS_RANDOM_FAMILIES):
-        elements = set()
-        for _ in range(2 * d):
-            vec = tuple(int(x) for x in rng.integers(0, q, size=d))
-            if not any(vec):
-                continue
-            v = vec if q != 2 else sum(b << i for i, b in enumerate(vec))
-            elements.add(LabeledVector(v, int(rng.integers(1, d + 1))))
-        fams.append(FExplicit(f"random-subset-{t}", frozenset(elements)))
-    for t in range(CRS_RANDOM_FAMILIES):
-        r = int(rng.integers(1, min(d, 2) + 1))
-        vecs = random_independent_vectors(instance.matroid, r, rng)
-        fams.append(FFlat(frozenset(_span_vectors(vecs, q, d)), r))
-    half = frozenset(range(1, d // 2 + 1))
-    fams.append(FLabelClass(half))
-    return fams
-
-
-# ---------------------------------------------------------------------------
-# Disjunction lower bound
-
-
-@dataclass(frozen=True)
-class DisjunctionReport:
-    sum_probability: float
-    pairwise_bound: float
-    independent_baseline: float
-    disjunction: Estimate
-    marginals: tuple[Estimate, ...]
-    ok: bool
-
-
-# Sigma multiple within which each observed marginal must match its declared
-# probability before the disjunction bounds are checked.
-MARGINAL_SIGMAS = 5.0
-
-
-def disjunction_bound_check(
-    probabilities: Sequence[float],
-    joint_sampler: Callable[[np.random.Generator], Sequence[bool]],
-    trials: int,
-    rng: np.random.Generator,
-    *,
-    sigmas: float = DEFAULT_SIGMAS,
-) -> DisjunctionReport:
-    """Check the pairwise-independent disjunction lower bounds.
-
-    Verifies the sampler's marginals first, then that the probability of
-    at least one event clears both sum/(1+sum) and 1/1.299 times the
-    mutually-independent baseline, within the confidence interval.
-    """
-    k = len(probabilities)
-    event_counts = [0] * k
-    any_count = 0
-    for _ in range(trials):
-        events = joint_sampler(rng)
-        if len(events) != k:
-            raise ValueError("sampler arity disagrees with the probability vector")
-        hit = False
-        for i, e in enumerate(events):
-            if e:
-                event_counts[i] += 1
-                hit = True
-        any_count += hit
-    marginals = tuple(Estimate.binomial(c, trials, sigmas) for c in event_counts)
-    for p, est in zip(probabilities, marginals):
-        slack = MARGINAL_SIGMAS * max(est.std_error, math.sqrt(p * (1 - p) / trials))
-        if abs(est.mean - p) > slack + 1e-12:
-            raise ValueError(
-                f"marginal mismatch: observed {est.mean:.5f}, declared {p:.5f}"
-            )
-    total = float(sum(probabilities))
-    lb_sum = total / (1.0 + total)
-    independent = 1.0 - math.prod(1.0 - p for p in probabilities)
-    lb_ind = independent / 1.299
-    disj = Estimate.binomial(any_count, trials, sigmas)
-    ok = disj.ci_high >= lb_sum and disj.ci_high >= lb_ind
-    return DisjunctionReport(
-        sum_probability=total,
-        pairwise_bound=lb_sum,
-        independent_baseline=independent,
-        disjunction=disj,
-        marginals=marginals,
-        ok=ok,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -166,8 +166,7 @@ def test_mod_basis_span_queries():
 
 
 def test_pack_unpack_roundtrip():
-    vec = (1, 0, 1, 1, 0)
-    assert gf.unpack_bits(gf.pack_bits(vec), 5) == vec
+    assert gf.pack_bits((1, 0, 1, 1, 0)) == 0b01101
 
 
 def test_column_vector_convention():

@@ -6,7 +6,6 @@ from pairsel import gf, verify
 from pairsel.instances import (
     CrsInstance,
     ProphetParams,
-    check_polytope,
     pairwise_weight_test,
     sample_prophet_instance,
 )
@@ -78,12 +77,6 @@ def test_d1_rank_matches_matrix_rank():
         assert matroid.rank(explicit) == x.rank()
 
 
-@pytest.mark.parametrize("q,d,c", [(5, 5, 2), (3, 3, 2), (2, 8, 4)])
-def test_polytope_check_passes(q, d, c):
-    report = check_polytope(CrsInstance(q, d, c), 40, gf.substream(4, "poly", q, d))
-    assert report.ok, report.violations
-
-
 # --- prophet instance -------------------------------------------------------
 
 
@@ -97,8 +90,6 @@ def test_prophet_params_level_structure():
     assert params.level_of_label(56) == 3
     with pytest.raises(ValueError):
         params.level_of_label(57)
-    assert params.theorem_faithful  # 64 = 2^(2*3)
-    assert not ProphetParams(32, 2).theorem_faithful  # off-theorem, still legal
 
 
 def test_prophet_params_preconditions():
@@ -109,8 +100,6 @@ def test_prophet_params_preconditions():
 
 
 def test_e_hard_probability_overwhelming():
-    params = ProphetParams(256, 4)
-    assert params.e_hard_lower_bound() >= 1 - 1e-70
     rng = gf.substream(5, "ehard")
     hard = sum(sample_prophet_instance(64, 3, rng).e_hard for _ in range(50))
     assert hard == 50

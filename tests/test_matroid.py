@@ -12,7 +12,6 @@ from pairsel.matroid import (
     SimplePartitionMatroid,
     complete_graph,
     partition_from_permutation,
-    rank_one,
     sample_graphic_partition,
 )
 
@@ -91,7 +90,7 @@ def test_weighted_rank_zero_weights():
 
 
 def test_weighted_rank_rank_one():
-    m = rank_one(["x", "y", "z"])
+    m = SimplePartitionMatroid.from_parts([["x", "y", "z"]])
     value, chosen = m.weighted_rank({"x": 3, "y": 7, "z": 5}, ["x", "y", "z"])
     assert value == 7
     assert chosen == ("y",)
@@ -124,7 +123,7 @@ def test_weighted_rank_matches_brute_force_random(seed):
 
 
 def test_negative_weight_rejected():
-    m = rank_one(["x"])
+    m = SimplePartitionMatroid.from_parts([["x"]])
     with pytest.raises(ValueError):
         m.weighted_rank({"x": -1}, ["x"])
 

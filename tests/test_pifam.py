@@ -8,7 +8,6 @@ def test_sigma_crs_example_columns():
     sigma = pifam.sigma_crs(3, 2, 4)
     assert [sigma.column(j) for j in range(4)] == [(0, 1), (1, 0), (1, 1), (1, 2)]
     assert pifam.pairwise_linearly_independent(sigma)
-    assert pifam.kwise_linearly_independent(sigma, 2)
 
 
 def test_projective_point_count():
@@ -53,16 +52,6 @@ def test_ordered_family_rejects_small_output_dimension():
     sigma = pifam.sigma_crs(2, 3, 4)
     with pytest.raises(ValueError):
         pifam.ordered_family(sigma, 2, gf.substream(0, "x"))
-
-
-def test_ordered_family_kwise_check():
-    identity = FieldMatrix.identity(3, 2)
-    fam = pifam.ordered_family(identity, 4, gf.substream(1, "k3"), check_k=3)
-    assert fam.n == 3
-    crs = pifam.sigma_crs(2, 3, 4)
-    assert not pifam.kwise_linearly_independent(crs, 3)
-    with pytest.raises(ValueError):
-        pifam.ordered_family(crs, 4, gf.substream(1, "k3"), check_k=3)
 
 
 def test_single_column_is_uniform():
@@ -135,7 +124,6 @@ def test_active_set_branch_invariants():
 def test_sigma_prophet_sizes_kappa3():
     ns = pifam.sigma_prophet(64, 3, gf.substream(1, "ns"))
     assert [len(b) for b in ns.bases] == [64, 32, 16]
-    assert ns.columns_per_level() == [32, 16, 8]
 
 
 def test_sigma_prophet_preconditions():

@@ -8,7 +8,6 @@ from pairsel.matroid import (
     DuplicatedLinearMatroid,
     LabeledVector,
     SimplePartitionMatroid,
-    rank_one,
 )
 
 
@@ -55,7 +54,7 @@ def test_coin_adversarial_order_puts_heads_first():
 
 
 def test_null_scheme_balance_zero(null_scheme):
-    matroid = rank_one(["a"])
+    matroid = SimplePartitionMatroid.from_parts([["a"]])
     scheme = null_scheme(matroid)
     assert scheme.run(["a"], {"a": False}) == ()
     assert scheme.selection_probability_given_active(
@@ -85,8 +84,6 @@ def test_bucket_of_boundaries():
     assert layout.bucket_of(2.0) == 2
     assert layout.bucket_of(31.999) == 5
     assert layout.bucket_of(32.0) == schemes.INF_BUCKET
-    bounds = layout.boundaries()
-    assert bounds[0] == 1.0 and bounds[-1] == 32.0
 
 
 def test_choose_bucket_tie_breaks_to_lower_index():
@@ -207,7 +204,7 @@ def test_partition_prophet_zero_weights_empty():
 def test_partition_prophet_detects_contract_violation():
     # Sub-matroid that is NOT a restriction of the host's independence:
     # two singleton parts inside a rank-one host.
-    host = rank_one([0, 1])
+    host = SimplePartitionMatroid.from_parts([[0, 1]])
     bad_partition = SimplePartitionMatroid.from_parts([{0}, {1}])
     with pytest.raises(AssertionError):
         schemes.partition_prophet(
@@ -226,15 +223,7 @@ def test_partition_prophet_skips_excluded_elements():
     assert accepted == (0,)
 
 
-# --- offline prophet and the policy suite ------------------------------------
-
-
-def test_offline_prophet_basis_and_zero():
-    matroid = DuplicatedLinearMatroid(2, 3, 1)
-    basis = [LabeledVector(1 << i, 1) for i in range(3)]
-    value, chosen = schemes.offline_prophet(matroid, {e: 1.0 for e in basis})
-    assert value == 3.0 and len(chosen) == 3
-    assert schemes.offline_prophet(matroid, {basis[0]: 0.0})[0] == 0.0
+# --- the policy suite --------------------------------------------------------
 
 
 def test_policy_suite_names_and_count():

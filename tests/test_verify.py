@@ -31,12 +31,6 @@ def test_accumulator_merge_associative_and_order_free():
     assert math.isclose(c.merge(a).merge(b).total, whole.total)
 
 
-def test_binomial_estimate():
-    est = verify.Estimate.binomial(50, 200)
-    assert est.mean == 0.25
-    assert est.ci_low < 0.25 < est.ci_high
-
-
 def test_estimate_scaling():
     est = verify.Estimate.from_samples([1.0, 3.0]).scaled(2.0, offset=1.0)
     assert est.mean == 5.0
@@ -183,21 +177,6 @@ def test_certifier_fails_crs_instance_at_target():
     assert report.min_ratio.mean < 0.45
 
 
-def test_certifier_structured_families_on_crs():
-    instance = CrsInstance(5, 5, 2)
-    rng = gf.substream(10, "certfam")
-    families = verify.crs_families(instance, rng)
-    names = [f.name for f in families]
-    assert "ground-set" in names
-    assert any(n.startswith("random-subset") for n in names)
-    assert any(n.startswith("flat") for n in names)
-    assert any(n.startswith("labels") for n in names)
-    report = verify.certify_balance(
-        lambda r: instance.sample(r), instance.matroid, 3.5 / 5, families, 2000, rng
-    )
-    assert not report.verdict  # the ground set is the witness
-
-
 def test_certifier_pairwise_partition_passes():
     bench = verify.PartitionActiveBench()
     rng = gf.substream(11, "certpass")
@@ -263,52 +242,6 @@ def test_pairwise_sampler_marginals():
     count0 = sum(0 in sampler(rng) for _ in range(trials))
     p = bench.marginal
     assert abs(count0 / trials - p) < 3 * math.sqrt(p * (1 - p) / trials)
-
-
-# --- disjunction bound -----------------------------------------------------------
-
-
-def test_disjunction_formula_example():
-    assert 0.5 / 1.5 == pytest.approx(1 / 3)
-    rng = gf.substream(16, "disj")
-
-    def independent(r):
-        return [bool(r.random() < 0.1) for _ in range(5)]
-
-    report = verify.disjunction_bound_check([0.1] * 5, independent, 30_000, rng)
-    assert report.pairwise_bound == pytest.approx(1 / 3)
-    assert report.independent_baseline == pytest.approx(1 - 0.9**5)
-    assert report.disjunction.mean == pytest.approx(0.40951, abs=0.01)
-    assert report.ok
-
-
-def test_disjunction_pairwise_family_passes():
-    # Pairwise-independent events from the random-map family.
-    supports, m = verify._packed_family_sampler(5)
-    rng = gf.substream(17, "disjpw")
-
-    def sampler(r):
-        values = verify._sample_values(supports, m, 3, r)
-        return [v == 1 for v in values]
-
-    report = verify.disjunction_bound_check([1 / 8] * 5, sampler, 30_000, rng)
-    assert report.ok
-
-
-def test_disjunction_single_event_trivial():
-    rng = gf.substream(18, "disj1")
-    report = verify.disjunction_bound_check(
-        [0.3], lambda r: [bool(r.random() < 0.3)], 5000, rng
-    )
-    assert report.ok
-
-
-def test_disjunction_marginal_mismatch_raises():
-    rng = gf.substream(19, "disjbad")
-    with pytest.raises(ValueError):
-        verify.disjunction_bound_check(
-            [0.5], lambda r: [bool(r.random() < 0.1)], 5000, rng
-        )
 
 
 # --- prophet hardness gap ---------------------------------------------------------
