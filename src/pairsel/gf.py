@@ -99,14 +99,6 @@ class FieldMatrix:
         rows = list(zip(*columns))
         return cls.from_rows(rows, q)
 
-    @classmethod
-    def identity(cls, n: int, q: int) -> "FieldMatrix":
-        return cls.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)], q)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, q: int) -> "FieldMatrix":
-        return cls.from_rows([[0] * cols for _ in range(rows)], q)
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(self.entries[i][j] for i in range(self.rows))
 
@@ -142,27 +134,27 @@ class FieldMatrix:
 
 
 class PackedBasis:
-    """Incremental GF(2) elimination basis over packed integer vectors.
+    """Incremental GF(2) elimination basis over packed vectors of GF(2)^dim.
 
     Supports span queries and insert-if-independent in O(rank) word ops,
     which is what the duplicated-matroid rank oracle and the online
-    selection schemes run on.
+    selection schemes run on.  The pivot row whose leading bit is bit i sits
+    in slot i + 1 (the vector's bit length) of a list of dim + 1 slots, 0
+    marking a free slot; slot 0 stays 0, which stops a reduction at the zero
+    vector.  A vector with a bit at or above ``dim`` raises IndexError.
     """
 
-    __slots__ = ("_pivots",)
+    __slots__ = ("_pivots", "_rank")
 
-    def __init__(self):
-        self._pivots: dict[int, int] = {}
+    def __init__(self, dim: int):
+        self._pivots = [0] * (dim + 1)
+        self._rank = 0
 
     def reduce(self, v: int) -> int:
         pivots = self._pivots
-        while v:
-            b = v.bit_length() - 1
-            row = pivots.get(b)
-            if row is None:
-                return v
+        while row := pivots[v.bit_length()]:
             v ^= row
-        return 0
+        return v
 
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
@@ -172,12 +164,13 @@ class PackedBasis:
         v = self.reduce(v)
         if v == 0:
             return False
-        self._pivots[v.bit_length() - 1] = v
+        self._pivots[v.bit_length()] = v
+        self._rank += 1
         return True
 
     @property
     def rank(self) -> int:
-        return len(self._pivots)
+        return self._rank
 
 
 class ModBasis:
@@ -220,7 +213,7 @@ class ModBasis:
 
 def vector_basis(q: int, dim: int):
     """Fresh incremental basis in the canonical vector representation for q."""
-    return PackedBasis() if q == 2 else ModBasis(q, dim)
+    return PackedBasis(dim) if q == 2 else ModBasis(q, dim)
 
 
 def random_matrix(rows: int, cols: int, q: int, rng: np.random.Generator) -> FieldMatrix:

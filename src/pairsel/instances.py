@@ -85,25 +85,30 @@ class ProphetParams:
     def ambient_dim(self) -> int:
         return 2 * self.d
 
-    @property
+    @cached_property
     def level_sizes(self) -> tuple[int, ...]:
         return tuple(self.d // 2**ell for ell in range(1, self.kappa + 1))
 
+    @cached_property
+    def _label_levels(self) -> tuple[int, ...]:
+        """The level of each label, at index label - 1."""
+        return tuple(ell for ell, size in enumerate(self.level_sizes, start=1) for _ in range(size))
+
     @property
     def n(self) -> int:
-        return sum(self.level_sizes)
+        return len(self._label_levels)
 
     def labels_of_level(self, ell: int) -> range:
+        if not 1 <= ell <= self.kappa:
+            raise ValueError(f"level {ell} outside [1, {self.kappa}]")
         offset = sum(self.level_sizes[: ell - 1])
         return range(offset + 1, offset + self.level_sizes[ell - 1] + 1)
 
     def level_of_label(self, label: int) -> int:
-        offset = 0
-        for ell, size in enumerate(self.level_sizes, start=1):
-            if label <= offset + size:
-                return ell
-            offset += size
-        raise ValueError(f"label {label} outside [1, {self.n}]")
+        levels = self._label_levels
+        if not 1 <= label <= len(levels):
+            raise ValueError(f"label {label} outside [1, {len(levels)}]")
+        return levels[label - 1]
 
     def weight_of_level(self, ell: int) -> int:
         return 2**ell
@@ -118,6 +123,13 @@ class ProphetSample:
     are materialized, since zero-weight elements contribute nothing to
     either player.  Levels that drew the correlated branch have no explicit
     candidates.
+
+    ``mask_candidates`` is set on the hardness event only: the same
+    candidates, in the same order, with each image R·σ replaced by its σ
+    window mask.  There R is injective, so a set of images is independent in
+    the host matroid exactly when its masks are, and the experiments decide
+    independence on the d-bit masks instead of the 2d-bit images.  Off the
+    event R may have a kernel, and the field is None.
     """
 
     params: ProphetParams
@@ -125,6 +137,7 @@ class ProphetSample:
     e_hard: bool
     rejections: int
     candidates: tuple[tuple[LabeledVector, int], ...]
+    mask_candidates: tuple[tuple[LabeledVector, int], ...] | None
 
     def matroid(self) -> DuplicatedLinearMatroid:
         return DuplicatedLinearMatroid(2, self.params.ambient_dim, self.params.n)
@@ -138,7 +151,11 @@ def _r_column_masks(d: int, rng: np.random.Generator) -> list[int]:
     """Uniform R in GF(2)^{2d x d}, packed by column (bit t = row t)."""
     bits = rng.integers(0, 2, size=(2 * d, d), dtype=np.uint8)
     packed = np.packbits(bits, axis=0, bitorder="little")
-    return [int.from_bytes(packed[:, c].tobytes(), "little") for c in range(d)]
+    width = packed.shape[0]
+    by_column = packed.T.tobytes()
+    return [
+        int.from_bytes(by_column[c * width : (c + 1) * width], "little") for c in range(d)
+    ]
 
 
 # Rejections after which conditioning on the hardness event gives up.
@@ -180,8 +197,8 @@ def sample_prophet_instance(
                 pifam.matrix_to_set_from_columns(columns, 2, params.ambient_dim, labels, rng)
             )
 
-        basis = PackedBasis()
-        full_rank = sum(basis.add(c) for c in r_cols) == d
+        basis = PackedBasis(params.ambient_dim)
+        full_rank = all(basis.add(c) for c in r_cols)
         e_hard = full_rank and all(a.branch == "D1" for a in actives)
 
         if condition_on_e_hard and not e_hard:
@@ -196,12 +213,22 @@ def sample_prophet_instance(
             candidates.extend(
                 (e, w) for e in sorted(active.explicit, key=lambda e: e.label)
             )
+        mask_candidates = None
+        if e_hard:
+            # Every level is explicit, so its labels and the block's masks
+            # line up column for column, as the images do.
+            mask_candidates = tuple(
+                (LabeledVector(mask, label), params.weight_of_level(ell))
+                for ell in range(1, kappa + 1)
+                for mask, label in zip(nested.column_masks(ell), params.labels_of_level(ell))
+            )
         return ProphetSample(
             params=params,
             actives=tuple(actives),
             e_hard=e_hard,
             rejections=rejections,
             candidates=tuple(candidates),
+            mask_candidates=mask_candidates,
         )
 
 

@@ -364,7 +364,7 @@ def check_nested_properties(ns: NestedSigma, trials: int, rng: np.random.Generat
         if any(bin(m).count("1") != 2 ** (ell - 1) for m in masks):
             block_rank_ok = False
             violations.append(f"level {ell}: column is not a sum of 2^{ell - 1} basis vectors")
-        basis = PackedBasis()
+        basis = PackedBasis(ns.d)
         if sum(basis.add(m) for m in masks) != len(masks):
             block_rank_ok = False
             violations.append(f"level {ell}: columns not linearly independent")

@@ -378,13 +378,18 @@ def run_policy(policy: OnlinePolicy, sample, rng: np.random.Generator, trace: Ca
     """Simulate a gambler policy on a prophet-instance draw under its fixed
     arrival order.  Only feasible nonzero-weight arrivals reach the policy;
     acceptance goes through the matroid tracker, so the accepted set is
-    independent by construction."""
+    independent by construction.
+
+    The draw must lie on the hardness event: feasibility is decided on the
+    candidates' σ window masks, which the accepted elements carry."""
+    if sample.mask_candidates is None:
+        raise ValueError("run_policy needs a draw on the hardness event")
     matroid = sample.matroid()
     tracker = matroid.tracker()
     policy.reset(rng)
     value = 0.0
     accepted = []
-    for element, w in sample.candidates:
+    for element, w in sample.mask_candidates:
         if w <= 0 or not tracker.would_accept(element):
             continue
         level = sample.params.level_of_label(element.label)

@@ -606,9 +606,10 @@ def _calibrate_bucketing(matroid, d: int, kappa: int, aux_trials: int, rng: np.r
     for _ in range(aux_trials):
         sample = sample_prophet_instance(d, kappa, rng, condition_on_e_hard=True)
         rejections += sample.rejections
-        value, _ = matroid.weighted_rank(dict(sample.candidates), [e for e, _ in sample.candidates])
+        weights = dict(sample.mask_candidates)
+        value, _ = matroid.weighted_rank(weights, list(weights))
         total += value
-        draws.append(sample.candidates)
+        draws.append(sample.mask_candidates)
     opt_est = total / max(aux_trials, 1)
     layout = schemes.bucket_layout(opt_est, matroid.full_rank)
     chosen = schemes.choose_bucket(schemes.estimate_bucket_opts(matroid, draws, layout))
@@ -630,7 +631,9 @@ def prophet_hardness_gap(
     The prophet value is the offline maximum-weight independent set; each
     suite policy is simulated under the fixed level-ascending order.  The
     bucketing policy's layout and bucket choice are estimated once from an
-    auxiliary sample before the measured trials.
+    auxiliary sample before the measured trials.  Every draw lies on the
+    hardness event, so independence is decided on the candidates' σ window
+    masks (``ProphetSample.mask_candidates``).
     """
     params = ProphetParams(d, kappa)
     matroid = DuplicatedLinearMatroid(2, params.ambient_dim, params.n)
@@ -641,7 +644,7 @@ def prophet_hardness_gap(
     for _ in range(trials):
         sample = sample_prophet_instance(d, kappa, rng, condition_on_e_hard=True)
         rejections += sample.rejections
-        weights = dict(sample.candidates)
+        weights = dict(sample.mask_candidates)
         prophet_value, _ = matroid.weighted_rank(weights, list(weights))
         for policy in policies:
             value, _ = schemes.run_policy(policy, sample, rng)
@@ -982,7 +985,9 @@ def prophet_bucketing_benchmark(
     acc = Accumulator()
     for _ in range(trials):
         sample = sample_prophet_instance(d, kappa, rng, condition_on_e_hard=True)
-        result = schemes.bucketing_prophet(matroid, sample.candidates, layout, chosen, trace=trace)
+        result = schemes.bucketing_prophet(
+            matroid, sample.mask_candidates, layout, chosen, trace=trace
+        )
         acc = acc.add(result.value)
     reward = Estimate.from_accumulator(acc, sigmas)
     return BucketingBenchmarkReport(

@@ -29,12 +29,16 @@ def test_is_prime(n, expected):
     assert gf.is_prime(n) is expected
 
 
+def _identity(n, q):
+    return gf.FieldMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)], q)
+
+
 def test_rank_identity():
-    assert gf.FieldMatrix.identity(4, 2).rank() == 4
+    assert _identity(4, 2).rank() == 4
 
 
 def test_rank_zero_matrix():
-    assert gf.FieldMatrix.zeros(3, 5, 3).rank() == 0
+    assert gf.FieldMatrix.from_rows([[0] * 5] * 3, 3).rank() == 0
 
 
 def test_rank_equal_rows_gf2():
@@ -43,7 +47,7 @@ def test_rank_equal_rows_gf2():
 
 def test_multiply_identity():
     b = gf.FieldMatrix.from_rows([[1, 2], [3, 4], [0, 1]], 5)
-    assert gf.FieldMatrix.identity(3, 5).multiply(b) == b
+    assert _identity(3, 5).multiply(b) == b
 
 
 def test_multiply_gf2_cancellation():
@@ -59,15 +63,15 @@ def test_multiply_gf5():
 
 
 def test_multiply_dimension_mismatch():
-    a = gf.FieldMatrix.identity(2, 5)
-    b = gf.FieldMatrix.identity(3, 5)
+    a = _identity(2, 5)
+    b = _identity(3, 5)
     with pytest.raises(ValueError):
         a.multiply(b)
 
 
 def test_multiply_modulus_mismatch():
-    a = gf.FieldMatrix.identity(2, 5)
-    b = gf.FieldMatrix.identity(2, 7)
+    a = _identity(2, 5)
+    b = _identity(2, 7)
     with pytest.raises(ValueError):
         a.multiply(b)
 
@@ -146,7 +150,7 @@ def test_rank_does_not_mutate_input():
 
 
 def test_packed_basis_span_queries():
-    basis = gf.PackedBasis()
+    basis = gf.PackedBasis(3)
     assert basis.add(0b001)
     assert basis.add(0b010)
     assert not basis.add(0b011)  # dependent on the first two
@@ -154,6 +158,8 @@ def test_packed_basis_span_queries():
     assert not basis.contains(0b100)
     assert basis.rank == 2
     assert not basis.add(0)
+    with pytest.raises(IndexError):
+        basis.add(0b1000)  # outside GF(2)^3
 
 
 def test_mod_basis_span_queries():

@@ -1,8 +1,9 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from pairsel import gf, verify
+from pairsel import gf, instances, schemes, verify
 from pairsel.instances import (
     CrsInstance,
     ProphetParams,
@@ -88,8 +89,12 @@ def test_prophet_params_level_structure():
     assert params.level_of_label(1) == 1
     assert params.level_of_label(33) == 2
     assert params.level_of_label(56) == 3
-    with pytest.raises(ValueError):
-        params.level_of_label(57)
+    for label in (0, -5, 57):
+        with pytest.raises(ValueError, match=r"outside \[1, 56\]"):
+            params.level_of_label(label)
+    for level in (0, 4):
+        with pytest.raises(ValueError, match=r"outside \[1, 3\]"):
+            params.labels_of_level(level)
 
 
 def test_prophet_params_preconditions():
@@ -132,6 +137,31 @@ def test_weights_structure_under_the_hardness_event():
     e0, _ = sample.candidates[0]
     other_label = 2 if e0.label != 2 else 3
     assert sample.weight(e0.vector, other_label) == 0
+
+
+def test_r_column_packing_matches_strided_columns():
+    # One transposed packing sliced per column gives the ints that packing
+    # each strided column separately gives, and bit t is row t.
+    for d in (2, 16, 64):
+        got = instances._r_column_masks(d, gf.substream(4, "pack", d))
+        bits = gf.substream(4, "pack", d).integers(0, 2, size=(2 * d, d), dtype=np.uint8)
+        packed = np.packbits(bits, axis=0, bitorder="little")
+        strided = [int.from_bytes(packed[:, c].tobytes(), "little") for c in range(d)]
+        by_bit = [sum(int(bits[t, c]) << t for t in range(2 * d)) for c in range(d)]
+        assert got == strided == by_bit
+
+
+def test_draws_off_the_hardness_event_expose_no_masks():
+    # At d = 2 about a quarter of the draws miss the event: R or a level
+    # can fail it.
+    rng = gf.substream(12, "off-event")
+    samples = [sample_prophet_instance(2, 1, rng) for _ in range(200)]
+    missed = [s for s in samples if not s.e_hard]
+    assert 20 <= len(missed) <= 80
+    assert all(s.mask_candidates is None for s in missed)
+    assert all(s.mask_candidates is not None for s in samples if s.e_hard)
+    with pytest.raises(ValueError, match="hardness event"):
+        schemes.run_policy(schemes.AcceptAllPolicy(), missed[0], rng)
 
 
 def test_condition_on_e_hard_reports_rejections():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -270,3 +271,37 @@ def test_trace_callback_records_decisions():
     records = []
     schemes.run_policy(schemes.AcceptAllPolicy(), sample, rng, trace=records.append)
     assert records and all({"label", "weight", "accepted"} <= set(r) for r in records)
+
+
+@pytest.mark.parametrize("d,kappa", [(16, 2), (64, 3)])
+def test_mask_path_matches_the_images(d, kappa):
+    # On the hardness event R is injective, so deciding independence on the
+    # σ window masks gives what the images give through the same host.
+    rng = gf.substream(14, "mask-oracle", d)
+    samples = [sample_prophet_instance(d, kappa, rng, condition_on_e_hard=True) for _ in range(50)]
+    images = [dataclasses.replace(s, mask_candidates=s.candidates) for s in samples]
+    for s in samples:
+        assert [(e.label, w) for e, w in s.mask_candidates] == [(e.label, w) for e, w in s.candidates]
+    host = samples[0].matroid()
+
+    def prophet(stream):
+        weights = dict(stream)
+        return host.weighted_rank(weights, list(weights))[0]
+
+    values = [prophet(s.mask_candidates) for s in samples]
+    assert values == [prophet(s.candidates) for s in samples]
+    layout = schemes.bucket_layout(sum(values) / len(values), host.full_rank)
+    opts = schemes.estimate_bucket_opts(host, [s.mask_candidates for s in samples], layout)
+    assert opts == schemes.estimate_bucket_opts(host, [s.candidates for s in samples], layout)
+    chosen = schemes.choose_bucket(opts)
+    buckets = (*range(layout.k + 1), schemes.INF_BUCKET)
+    policies = schemes.gambler_policy_suite(samples[0].params.level_sizes, bucketing=(layout, chosen))
+    for i, (masked, imaged) in enumerate(zip(samples, images)):
+        for b in buckets:
+            assert schemes.bucketing_prophet(host, masked.mask_candidates, layout, b).value == \
+                schemes.bucketing_prophet(host, imaged.candidates, layout, b).value
+        for policy in policies:
+            runs = [schemes.run_policy(policy, s, gf.substream(i, policy.name)) for s in (masked, imaged)]
+            (v_mask, acc_mask), (v_image, acc_image) = runs
+            assert v_mask == v_image
+            assert [e.label for e in acc_mask] == [e.label for e in acc_image]

@@ -69,7 +69,7 @@ def test_exact_ordered_zero_deviation(q, m, n, d):
 
 def test_exact_ordered_three_wise_with_identity_design():
     result = verify.exact_pairwise_check(
-        "ordered", 2, 3, 3, 2, sigma=FieldMatrix.identity(3, 2), k=3
+        "ordered", 2, 3, 3, 2, sigma=FieldMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 2), k=3
     )
     assert result.deviation == 0
 
