@@ -216,6 +216,61 @@ def vector_basis(q: int, dim: int):
     return PackedBasis(dim) if q == 2 else ModBasis(q, dim)
 
 
+def _work_dtype(q: int):
+    """Narrowest signed integer type that holds q (q - 1): a residue plus a
+    product of two residues, the largest value the stacked kernels form
+    between reductions."""
+    return next(t for t in (np.int16, np.int32, np.int64) if q * (q - 1) <= np.iinfo(t).max)
+
+
+def stacked_product(left: np.ndarray, right: np.ndarray, q: int) -> np.ndarray:
+    """``left[i] @ right`` over GF(q) for a stack ``left`` of shape (n, r, k)
+    and one (k, s) matrix, entries residues in [0, q).
+
+    Sums stay in the narrow work type: they are reduced as often as the
+    type requires, which for small q is once at the end.
+    """
+    dtype = _work_dtype(q)
+    span = (int(np.iinfo(dtype).max) - (q - 1)) // (q - 1) ** 2  # products per reduction
+    left = left.astype(dtype, copy=False)
+    right = np.asarray(right, dtype=dtype)
+    out = np.zeros((*left.shape[:-1], right.shape[1]), dtype)
+    for k in range(right.shape[0]):
+        out += left[..., k, None] * right[k]
+        if k % span == span - 1:
+            out %= q
+    out %= q
+    return out
+
+
+def stacked_rank(stack: np.ndarray, q: int) -> np.ndarray:
+    """GF(q) rank of every matrix in a stack of shape (n, rows, cols) with
+    entries in [0, q): one vectorized elimination, column by column.
+
+    In each column, every matrix picks its first row with a nonzero entry
+    there as the pivot row and clears the column's later columns by the
+    division-free update row <- pivot * row - entry * pivot_row.  The update
+    zeroes the pivot row itself in those columns, so no row is picked twice.
+    The work array is laid out (cols, rows, n) so that every update is
+    contiguous.
+    """
+    m = np.ascontiguousarray(stack.transpose(2, 1, 0), _work_dtype(q))
+    cols, rows, n = m.shape
+    ranks = np.zeros(n, np.int64)
+    idx = np.arange(n)
+    for j in range(cols):
+        col = m[j]
+        p = (col != 0).argmax(axis=0)
+        pivot = col[p, idx]  # 0 where the column is zero: nothing to clear
+        ranks += pivot != 0
+        rest = m[j + 1 :]
+        pivot_row = rest[:, p, idx]
+        rest *= np.maximum(pivot, 1)
+        rest -= col * pivot_row[:, None, :]
+        rest %= q
+    return ranks
+
+
 def random_matrix(rows: int, cols: int, q: int, rng: np.random.Generator) -> FieldMatrix:
     """Uniform matrix over GF(q); every entry an independent uniform draw.
 

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import pifam
-from .gf import FieldMatrix, PackedBasis, check_modulus, random_matrix
+from .gf import FieldMatrix, PackedBasis, check_modulus, pack_bits, stacked_product
 from .matroid import DuplicatedLinearMatroid, LabeledVector
 
 
@@ -61,12 +61,21 @@ class CrsInstance:
         fam = pifam.ordered_family(self.sigma, self.d, rng)
         return pifam.matrix_to_set(fam, self.labels(), rng)
 
+    @cached_property
+    def _sigma_array(self) -> np.ndarray:
+        return np.array(self.sigma.entries, np.int64)
+
     def sample_d1(self, rng: np.random.Generator) -> pifam.ActiveSet:
-        """Sample conditioned on the explicit branch (for stratified estimates)."""
-        r = random_matrix(self.d, self.c, self.q, rng)
-        x = r.multiply(self.sigma)
+        """Sample conditioned on the explicit branch (for stratified estimates).
+
+        R is drawn as ``random_matrix`` draws it, and the columns of R sigma
+        come from ``stacked_product`` in the canonical vector form.
+        """
+        r = rng.integers(0, self.q, size=(self.d, self.c), dtype=np.int64)
+        columns = stacked_product(r[None], self._sigma_array, self.q)[0].T.tolist()
         explicit = tuple(
-            LabeledVector(x.column_vector(j), j + 1) for j in range(self.d)
+            LabeledVector(pack_bits(v) if self.q == 2 else tuple(v), j + 1)
+            for j, v in enumerate(columns)
         )
         return pifam.ActiveSet(self.q, self.d, self.labels(), explicit, frozenset(), "D1")
 

@@ -54,7 +54,13 @@ ADVERSARY_ORDERS = {
 
 class GreedyOcrs:
     """Accept an active element iff its pre-committed coin (heads probability
-    1/(2 Rank)) is heads and acceptance preserves independence."""
+    1/(2 Rank)) is heads and acceptance preserves independence.
+
+    ``sweep`` yields the run's accepted set and every element's conditional
+    selection contribution in one pass; ``run`` and
+    ``selection_probability_given_active`` are its element-by-element
+    oracles.
+    """
 
     name = "greedy-ocrs"
 
@@ -97,6 +103,42 @@ class GreedyOcrs:
                 if e == element:
                     return self.coin_probability if took else 0.0
         return 0.0
+
+    def sweep(
+        self, actives: Sequence, coins: Mapping, adversary, forced: Iterable,
+        trace: Callable | None = None,
+    ) -> tuple[tuple, dict]:
+        """The run's accepted set and the contribution of each element whose
+        coin is heads or in ``forced``, from one pass.
+
+        The adversary is called once, with every ``forced`` coin set to
+        heads, and one tracker walks that order: a heads element is added
+        (the run's decision and its contribution); a tails forced element
+        is only probed, at the position that forcing its own coin alone
+        would give it.  This equals ``run`` and, element by element,
+        ``selection_probability_given_active`` for any adversary under which
+        forcing one coin only repositions that element, as for every order
+        in ``ADVERSARY_ORDERS``.  ``trace`` gets one record per element in
+        the swept order.
+        """
+        heads = dict(coins)
+        heads.update(dict.fromkeys(forced, True))
+        tracker = self.matroid.tracker()
+        p = self.coin_probability
+        accepted = []
+        contributions = {}
+        for e in adversary(actives, heads):
+            take = False
+            if coins[e]:
+                take = tracker.add_if_independent(e)
+                if take:
+                    accepted.append(e)
+                contributions[e] = p if take else 0.0
+            elif heads[e]:
+                contributions[e] = p if tracker.would_accept(e) else 0.0
+            if trace is not None:
+                trace({"element": repr(e), "coin": bool(coins[e]), "accepted": take})
+        return tuple(accepted), contributions
 
 
 INF_BUCKET = -1

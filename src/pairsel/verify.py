@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import pifam, schemes
-from .gf import FieldMatrix, check_modulus, random_matrix
+from .gf import FieldMatrix, check_modulus, stacked_product, stacked_rank, vector_basis
 from .instances import CrsInstance, ProphetParams, sample_prophet_instance
 from .matroid import (
     DuplicatedLinearMatroid,
@@ -32,6 +32,10 @@ from .matroid import (
 DEFAULT_SIGMAS = 3.0
 EXACT_TAPE_LIMIT = 2**24
 CHUNK_SIZE = 1024  # trials per run_chunks sub-stream
+# Trials per random draw inside a crs_hardness_gap chunk: consecutive draws
+# give the numbers one draw of the whole chunk gives, and a block keeps each
+# thread's int64 draw at 80 KiB (d = 16, c = 5) instead of 640 KiB.
+DRAW_BLOCK = 128
 
 
 # ---------------------------------------------------------------------------
@@ -386,15 +390,33 @@ def crs_hardness_gap(
     The explicit branch is sampled; the correlated branch is folded in
     analytically with its worst-case rank d (weight 1/q^d), so the reported
     mean is a certified upper bound in expectation.  E[|A|] = d exactly.
+
+    A chunk draws its R in blocks of ``DRAW_BLOCK`` trials, which yields
+    the same numbers as one ``random_matrix`` draw per trial, and ranks each
+    block in one stacked elimination.  sigma need not have full row rank,
+    so the kernel ranks R sigma_S for columns sigma_S that form a basis of
+    sigma's column space: both products have the same column space.  The
+    chunk's first trial is recomputed by ``FieldMatrix`` product and rank,
+    the slow path, and a mismatch raises.
     """
     instance = CrsInstance(q, d, c)
     sigma = instance.sigma
+    sigma_s = _column_basis(sigma)
 
     def chunk(stream: np.random.Generator, count: int) -> Accumulator:
-        acc = Accumulator()
-        for _ in range(count):
-            acc = acc.add(float(random_matrix(d, c, q, stream).multiply(sigma).rank()))
-        return acc
+        parts = []
+        for start in range(0, count, DRAW_BLOCK):
+            draws = stream.integers(0, q, (min(DRAW_BLOCK, count - start), d, c), np.int64)
+            parts.append(stacked_rank(stacked_product(draws, sigma_s, q), q))
+            if start == 0:
+                first = FieldMatrix.from_rows(draws[0].tolist(), q).multiply(sigma).rank()
+        ranks = np.concatenate(parts)
+        if first != ranks[0]:
+            raise AssertionError(f"stacked rank {ranks[0]} disagrees with FieldMatrix rank {first}")
+        # Ranks are integers, so these float sums are exact in any order; the
+        # first trial enters as the oracle's rank.
+        rest = ranks[1:]
+        return Accumulator(count - 1, float(rest.sum()), float(rest @ rest)).add(float(first))
 
     acc = run_chunks(chunk, trials, rng, threads=threads)
     d1 = Estimate.from_accumulator(acc, sigmas)
@@ -420,6 +442,14 @@ def crs_hardness_gap(
         paper_bound=bound,
         vacuous=bound >= 1,
     )
+
+
+def _column_basis(sigma: FieldMatrix) -> np.ndarray:
+    """The first columns of sigma, left to right, that form a basis of its
+    column space, as an integer array of shape (rows, rank)."""
+    basis = vector_basis(sigma.modulus, sigma.rows)
+    picked = [sigma.column(j) for j in range(sigma.cols) if basis.add(sigma.column_vector(j))]
+    return np.array(picked, np.int64).T
 
 
 def crs_naive_rank_estimate(
@@ -724,13 +754,21 @@ def ocrs_balance(
     can select a loop, and the balance criterion presumes loop marginals
     are zero.  ``d1_factor`` scales estimates one-sidedly when the sampler
     conditions away an analytically bounded branch.
+
+    Each trial takes one ``scheme.sweep`` per adversary, which gives the
+    run's accepted set and every non-loop contribution at once.  On the
+    first trial the sweep is checked against its oracles, ``scheme.run``
+    and one ``selection_probability_given_active`` replay per element, and
+    a mismatch raises.  Contributions are summed in ``non_loops`` order,
+    since their float sums depend on it.
     """
     stats_per: dict[str, dict] = {name: {} for name in adversaries}
     loops = {name: 0 for name in adversaries}
     plain: dict[str, Accumulator] = {name: Accumulator() for name in adversaries}
-    pooled: dict[str, Accumulator] = {name: Accumulator() for name in adversaries}
+    # Running (count, sum, sum of squares) of the pooled contributions.
+    pooled = {name: [0, 0.0, 0.0] for name in adversaries}
 
-    for _ in range(trials):
+    for trial in range(trials):
         active = sampler(rng)
         elements = list(active)
         non_loops = [e for e in elements if not _is_loop(e)]
@@ -739,19 +777,23 @@ def ocrs_balance(
             if _is_loop(e):
                 coins[e] = False
         for name, adversary in adversaries.items():
-            order = adversary(elements, coins)
-            accepted = scheme.run(order, coins, trace=trace)
-            accepted_set = set(accepted)
+            accepted, contributions = scheme.sweep(elements, coins, adversary, non_loops, trace)
+            if trial == 0:
+                _check_sweep(scheme, elements, coins, adversary, non_loops, accepted, contributions)
+            per, pool = stats_per[name], pooled[name]
             for e in non_loops:
-                contribution = scheme.selection_probability_given_active(
-                    e, elements, coins, adversary
-                )
-                entry = stats_per[name].setdefault(e, [0, 0.0, 0.0])
+                contribution = contributions[e]
+                entry = per.setdefault(e, [0, 0.0, 0.0])
                 entry[0] += 1
                 entry[1] += contribution
                 entry[2] += contribution * contribution
-                pooled[name] = pooled[name].add(contribution)
-                plain[name] = plain[name].add(1.0 if e in accepted_set else 0.0)
+                pool[0] += 1
+                pool[1] += contribution
+                pool[2] += contribution * contribution
+            # The plain indicator is 0 or 1, so its sums are exact in any order.
+            accepted_set = set(accepted)
+            hits = float(sum(e in accepted_set for e in non_loops))
+            plain[name] = plain[name].merge(Accumulator(len(non_loops), hits, hits))
             loops[name] += len(elements) - len(non_loops)
 
     reports = []
@@ -778,7 +820,9 @@ def ocrs_balance(
                 min_ci_low=min_ci if qualifying else float("nan"),
                 min_mean=min_mean if qualifying else float("nan"),
                 worst_element=worst,
-                pooled=Estimate.from_accumulator(pooled[name], sigmas).scaled(d1_factor),
+                pooled=Estimate.from_accumulator(Accumulator(*pooled[name]), sigmas).scaled(
+                    d1_factor
+                ),
                 pooled_plain=Estimate.from_accumulator(plain[name], sigmas),
             )
         )
@@ -788,6 +832,17 @@ def ocrs_balance(
         d1_factor=d1_factor,
         per_adversary=tuple(reports),
     )
+
+
+def _check_sweep(scheme, elements, coins, adversary, non_loops, accepted, contributions):
+    """Raise unless a sweep equals its oracles: the scheme's run for the
+    accepted set, and a forced-coin replay for each non-loop contribution."""
+    if accepted != scheme.run(adversary(elements, coins), coins):
+        raise AssertionError(f"sweep accepted {accepted!r}, the run disagrees")
+    for e in non_loops:
+        replay = scheme.selection_probability_given_active(e, elements, coins, adversary)
+        if contributions[e] != replay:
+            raise AssertionError(f"sweep gave {contributions[e]} for {e!r}, the replay {replay}")
 
 
 def _is_loop(e) -> bool:

@@ -20,6 +20,9 @@ class NullScheme:
     def selection_probability_given_active(self, element, actives, coins, adversary) -> float:
         return 0.0
 
+    def sweep(self, actives, coins, adversary, forced, trace=None):
+        return (), {e: 0.0 for e in forced}
+
 
 @pytest.fixture
 def null_scheme():

@@ -129,17 +129,20 @@ def test_rank_invariant_under_row_permutation(q, r, c, seed):
     assert shuffled.rank() == m.rank()
 
 
+def _row_space_size(rows, q) -> int:
+    """Brute-force oracle: a row space of dimension k has exactly q^k points."""
+    return len({
+        tuple(sum(a * x for a, x in zip(coeffs, col)) % q for col in zip(*rows))
+        for coeffs in itertools.product(range(q), repeat=len(rows))
+    })
+
+
 @given(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.integers(1, 4), st.data())
 @settings(max_examples=60, deadline=None)
 def test_rank_counts_distinct_row_combinations(q, r, c, data):
-    # Brute-force oracle: a row space of dimension k has exactly q^k points.
     rows = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=c, max_size=c),
                               min_size=r, max_size=r))
-    points = {
-        tuple(sum(a * x for a, x in zip(coeffs, col)) % q for col in zip(*rows))
-        for coeffs in itertools.product(range(q), repeat=r)
-    }
-    assert len(points) == q ** gf.FieldMatrix.from_rows(rows, q).rank()
+    assert _row_space_size(rows, q) == q ** gf.FieldMatrix.from_rows(rows, q).rank()
 
 
 def test_rank_does_not_mutate_input():
@@ -180,3 +183,68 @@ def test_column_vector_convention():
     assert m2.column_vector(0) == 0b11
     m5 = gf.FieldMatrix.from_rows([[1, 0], [2, 1]], 5)
     assert m5.column_vector(0) == (1, 2)
+
+
+# --- stacked kernels ------------------------------------------------------------
+
+
+def _stack(q, rows, cols, kind, seed):
+    """20 matrices of one shape: all zero, random, or of full rank."""
+    rng = gf.substream(seed, "stack", q, rows, cols, kind)
+    stack = rng.integers(0, q, (20, rows, cols))
+    if kind == "zero":
+        stack[:] = 0
+    elif kind == "full":
+        k = min(rows, cols)
+        stack[:, :k, :k] = np.triu(stack[:, :k, :k], 1)
+        stack[:, range(k), range(k)] = rng.integers(1, q, (20, k))
+    return stack
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 4), st.integers(1, 4),
+       st.sampled_from(["zero", "random", "full"]), st.integers(0, 10_000))
+@settings(max_examples=80, deadline=None)
+def test_stacked_rank_matches_field_matrix_and_brute_force(q, rows, cols, kind, seed):
+    stack = _stack(q, rows, cols, kind, seed)
+    ranks = gf.stacked_rank(stack, q)
+    for m, r in zip(stack.tolist(), ranks.tolist()):
+        assert r == gf.FieldMatrix.from_rows(m, q).rank()
+        assert q**r == _row_space_size(m, q)
+        if kind == "zero":
+            assert r == 0
+        if kind == "full":
+            assert r == min(rows, cols)
+
+
+@pytest.mark.parametrize("rows,cols", [(2, 5), (6, 3), (16, 5)])
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_stacked_rank_wide_and_tall(q, rows, cols):
+    stack = gf.substream(q, "shape", rows, cols).integers(0, q, (200, rows, cols))
+    expected = [gf.FieldMatrix.from_rows(m, q).rank() for m in stack.tolist()]
+    assert gf.stacked_rank(stack, q).tolist() == expected
+
+
+@pytest.mark.parametrize("q", [2, 5, 181, 191, 46337, 46349, 2**31 - 1])
+def test_stacked_product_matches_field_matrix(q):
+    # 181 and 46337 are the largest primes of the int16 and int32 work types.
+    rng = gf.substream(q, "product")
+    left = rng.integers(0, q, (30, 4, 3))
+    right = rng.integers(0, q, (3, 5))
+    product = gf.stacked_product(left, right, q)
+    b = gf.FieldMatrix.from_rows(right.tolist(), q)
+    for a, p in zip(left.tolist(), product.tolist()):
+        assert gf.FieldMatrix.from_rows(a, q).multiply(b).entries == tuple(map(tuple, p))
+    ranks = gf.stacked_rank(product, q).tolist()
+    assert ranks == [gf.FieldMatrix.from_rows(p, q).rank() for p in product.tolist()]
+
+
+@pytest.mark.parametrize("q,d,c", [(5, 5, 2), (2, 16, 5), (3, 5, 3)])
+def test_one_stacked_draw_equals_per_trial_draws(q, d, c):
+    # crs_hardness_gap's byte identity rests on this: a chunk's one draw of
+    # shape (T, d, c) yields the same matrices as T random_matrix calls.
+    trials = 257
+    stacked_rng, per_trial_rng = gf.substream(9, "draws"), gf.substream(9, "draws")
+    stacked = stacked_rng.integers(0, q, (trials, d, c), np.int64)
+    per_trial = [gf.random_matrix(d, c, q, per_trial_rng).entries for _ in range(trials)]
+    assert [tuple(map(tuple, m)) for m in stacked.tolist()] == per_trial
+    assert repr(stacked_rng.bit_generator.state) == repr(per_trial_rng.bit_generator.state)

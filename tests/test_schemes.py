@@ -2,13 +2,16 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pairsel import gf, schemes
+from pairsel import gf, schemes, verify
 from pairsel.instances import sample_prophet_instance
 from pairsel.matroid import (
     DuplicatedLinearMatroid,
     LabeledVector,
     SimplePartitionMatroid,
+    element_key,
 )
 
 
@@ -52,6 +55,109 @@ def test_coin_adversarial_order_puts_heads_first():
     coins = {e1: False, e2: True, e3: True}
     order = schemes.order_coin_adversarial([e1, e2, e3], coins)
     assert order == [e2, e3, e1]
+
+
+# --- the one-pass OCRS sweep ------------------------------------------------------
+
+
+def _trials(q):
+    """(matroid, actives, coins) over GF(q)^dim with copy labels; zero
+    vectors (loops) included and coins drawn for every element."""
+
+    @st.composite
+    def draw(draw):
+        dim = draw(st.integers(1, 3))
+        copies = draw(st.integers(1, 3))
+        vectors = (st.integers(0, 2**dim - 1) if q == 2
+                   else st.tuples(*[st.integers(0, q - 1)] * dim))
+        actives = draw(st.lists(st.builds(LabeledVector, vectors, st.integers(1, copies)),
+                                min_size=1, max_size=8, unique=True))
+        coins = {e: draw(st.booleans()) for e in actives}
+        return DuplicatedLinearMatroid(q, dim, copies), actives, coins
+
+    return draw()
+
+
+def _forcing_one_coin_only_repositions(adversary, actives, coins) -> bool:
+    """Whether setting any one tails coin to heads leaves the order of every
+    other element unchanged."""
+    order = adversary(actives, coins)
+    for e in actives:
+        if not coins[e]:
+            forced = adversary(actives, {**coins, e: True})
+            if [x for x in forced if x != e] != [x for x in order if x != e]:
+                return False
+    return True
+
+
+def _order_by_heads_parity(actives, coins):
+    """Negative control: ascending for an even number of heads, else descending."""
+    heads = sum(bool(coins[e]) for e in actives)
+    return sorted(actives, key=element_key, reverse=heads % 2 == 1)
+
+
+@pytest.mark.parametrize("name", sorted(schemes.ADVERSARY_ORDERS))
+@pytest.mark.parametrize("q", [2, 3, 5])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_sweep_equals_run_and_forced_coin_replays(q, name, data):
+    matroid, actives, coins = data.draw(_trials(q))
+    adversary = schemes.ADVERSARY_ORDERS[name]
+    scheme = schemes.GreedyOcrs(matroid)
+    accepted, contributions = scheme.sweep(actives, coins, adversary, actives)
+    assert accepted == scheme.run(adversary(actives, coins), coins)
+    assert contributions == {
+        e: scheme.selection_probability_given_active(e, actives, coins, adversary)
+        for e in actives
+    }
+
+
+@pytest.mark.parametrize("name", sorted(schemes.ADVERSARY_ORDERS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_registered_adversaries_only_reposition_a_forced_element(name, data):
+    _, actives, coins = data.draw(_trials(data.draw(st.sampled_from([2, 3, 5]))))
+    assert _forcing_one_coin_only_repositions(schemes.ADVERSARY_ORDERS[name], actives, coins)
+
+
+def test_heads_parity_order_fails_the_property_and_the_sweep_check():
+    # Three parallel copies, only the third coin heads.  Forcing the first
+    # coin flips the parity, so the whole order reverses and the forced
+    # replay accepts the first copy, which the sweep cannot see.
+    matroid = DuplicatedLinearMatroid(2, 1, 3)
+    actives = [LabeledVector(1, label) for label in (1, 2, 3)]
+    coins = {e: e.label == 3 for e in actives}
+    assert not _forcing_one_coin_only_repositions(_order_by_heads_parity, actives, coins)
+    scheme = schemes.GreedyOcrs(matroid)
+    _, contributions = scheme.sweep(actives, coins, _order_by_heads_parity, actives)
+    replay = scheme.selection_probability_given_active(
+        actives[0], actives, coins, _order_by_heads_parity
+    )
+    assert (contributions[actives[0]], replay) == (0.0, 0.5)
+
+    class FixedCoins(schemes.GreedyOcrs):
+        def coins(self, elements, rng):
+            return dict(coins)
+
+    with pytest.raises(AssertionError, match="replay"):
+        verify.ocrs_balance(FixedCoins(matroid), lambda r: actives,
+                            {"parity": _order_by_heads_parity}, 3, gf.substream(1, "parity"))
+
+
+def test_sweep_traces_every_element_once():
+    matroid = DuplicatedLinearMatroid(2, 2, 2)
+    scheme = schemes.GreedyOcrs(matroid)
+    e1, e2, e3 = LabeledVector(0b01, 1), LabeledVector(0b10, 1), LabeledVector(0b11, 2)
+    coins = {e1: False, e2: True, e3: True}
+    records = []
+    accepted, _ = scheme.sweep([e1, e2, e3], coins, schemes.order_coin_adversarial,
+                               [e1, e2, e3], records.append)
+    assert accepted == (e2, e3)
+    assert records == [
+        {"element": repr(e1), "coin": False, "accepted": False},
+        {"element": repr(e2), "coin": True, "accepted": True},
+        {"element": repr(e3), "coin": True, "accepted": True},
+    ]
 
 
 def test_null_scheme_balance_zero(null_scheme):

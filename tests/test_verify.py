@@ -1,6 +1,8 @@
+import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pairsel import gf, schemes, verify
@@ -161,6 +163,63 @@ def test_binary_regime_bound():
     report = verify.crs_hardness_gap(2, 8, 4, 5000, gf.substream(8, "b"))
     assert report.rank_estimate.ci_high <= 5  # c + 1
     assert report.ratio_estimate.ci_high <= 5 / 8
+
+
+def _exact_d1_rank_mean(q: int, d: int, s: int) -> Fraction:
+    """E[rank(R sigma)] on the explicit branch, for s = rank sigma.
+
+    R sigma_S is uniform over the d x s matrices when the c x s matrix
+    sigma_S has full column rank, and rank(R sigma) = rank(R sigma_S).  So
+    the mean is sum_r r N_r(d, s) / q^(ds), with N_r the number of d x s
+    matrices of rank r.  rank(R sigma) = rank(R) only when s = c.
+    """
+    total = Fraction(0)
+    for r in range(1, min(d, s) + 1):
+        n_r = Fraction(1)
+        for i in range(r):
+            n_r *= Fraction((q**d - q**i) * (q**s - q**i), q**r - q**i)
+        total += r * n_r
+    return total / q ** (d * s)
+
+
+@pytest.mark.parametrize("q,d,c", [(3, 3, 2), (2, 4, 3), (2, 3, 3)])
+def test_exact_d1_rank_mean_matches_enumeration(q, d, c):
+    sigma = CrsInstance(q, d, c).sigma
+    ranks = [
+        FieldMatrix.from_rows([flat[i * c : (i + 1) * c] for i in range(d)], q).multiply(sigma).rank()
+        for flat in itertools.product(range(q), repeat=d * c)
+    ]
+    assert Fraction(sum(ranks), len(ranks)) == _exact_d1_rank_mean(q, d, sigma.rank())
+
+
+@pytest.mark.parametrize("q,d,c,label,exact", [
+    (5, 5, 2, "c3", 1.9980804),
+    (2, 16, 5, "c4", 4.9995270),
+])
+def test_d1_interval_covers_exact_mean(q, d, c, label, exact):
+    # The acceptance criteria 3 and 4 runs: their D1 interval covers the mean.
+    assert abs(float(_exact_d1_rank_mean(q, d, c)) - exact) < 1e-7
+    report = verify.crs_hardness_gap(q, d, c, 100_000, gf.substream(20260810, label))
+    w = 1 / q**d
+    low, high = ((x - w * d) / (1 - w) for x in (report.rank_estimate.ci_low,
+                                                 report.rank_estimate.ci_high))
+    assert low <= exact <= high
+
+
+@pytest.mark.parametrize("q,d,c", [(2, 3, 3), (2, 5, 4), (3, 4, 3)])
+def test_stacked_crs_ranks_equal_per_trial_ranks_when_sigma_is_rank_deficient(q, d, c):
+    # Here rank sigma < c, so rank(R sigma) differs from rank(R) on many
+    # draws: a kernel that ranked R alone would fail both checks.
+    trials = 300
+    sigma = CrsInstance(q, d, c).sigma
+    assert sigma.rank() < c
+    stream = gf.substream(31, "deficient").spawn(1)[0]  # run_chunks' one chunk stream
+    expected = [gf.random_matrix(d, c, q, stream).multiply(sigma).rank() for _ in range(trials)]
+    draws = gf.substream(31, "deficient").spawn(1)[0].integers(0, q, (trials, d, c), np.int64)
+    kernel = gf.stacked_rank(gf.stacked_product(draws, verify._column_basis(sigma), q), q)
+    assert kernel.tolist() == expected
+    report = verify.crs_hardness_gap(q, d, c, trials, gf.substream(31, "deficient"))
+    assert report.d1_rank_mean == sum(expected) / trials
 
 
 # --- balance certification -------------------------------------------------------
