@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -196,6 +197,7 @@ def _trace_writer(path: str | None):
         yield lambda record: fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pairsel",

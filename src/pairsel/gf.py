@@ -17,7 +17,9 @@ so parallel trials can derive non-overlapping streams deterministically.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -62,6 +64,12 @@ def substream(seed: int, *labels: object) -> np.random.Generator:
     digest = hashlib.blake2b(payload, digest_size=16).digest()
     entropy = int.from_bytes(digest, "big")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+
+
+def generator_state(rng: np.random.Generator) -> str:
+    """The state of a generator's bit generator as a string, equal exactly
+    when the states are."""
+    return json.dumps(rng.bit_generator.state, sort_keys=True, default=lambda a: a.tolist())
 
 
 def pack_bits(vector: Iterable[int]) -> int:
@@ -216,11 +224,14 @@ def vector_basis(q: int, dim: int):
     return PackedBasis(dim) if q == 2 else ModBasis(q, dim)
 
 
-def _work_dtype(q: int):
-    """Narrowest signed integer type that holds q (q - 1): a residue plus a
-    product of two residues, the largest value the stacked kernels form
-    between reductions."""
-    return next(t for t in (np.int16, np.int32, np.int64) if q * (q - 1) <= np.iinfo(t).max)
+@functools.cache
+def _work_type(q: int) -> tuple[type, int]:
+    """Narrowest signed integer type that holds q (q - 1), a residue plus a
+    product of two residues and the largest value the stacked kernels form
+    between reductions, with the number of products a sum in that type can
+    take between reductions."""
+    dtype = next(t for t in (np.int16, np.int32, np.int64) if q * (q - 1) <= np.iinfo(t).max)
+    return dtype, (int(np.iinfo(dtype).max) - (q - 1)) // (q - 1) ** 2
 
 
 def stacked_product(left: np.ndarray, right: np.ndarray, q: int) -> np.ndarray:
@@ -230,8 +241,7 @@ def stacked_product(left: np.ndarray, right: np.ndarray, q: int) -> np.ndarray:
     Sums stay in the narrow work type: they are reduced as often as the
     type requires, which for small q is once at the end.
     """
-    dtype = _work_dtype(q)
-    span = (int(np.iinfo(dtype).max) - (q - 1)) // (q - 1) ** 2  # products per reduction
+    dtype, span = _work_type(q)
     left = left.astype(dtype, copy=False)
     right = np.asarray(right, dtype=dtype)
     out = np.zeros((*left.shape[:-1], right.shape[1]), dtype)
@@ -254,7 +264,7 @@ def stacked_rank(stack: np.ndarray, q: int) -> np.ndarray:
     The work array is laid out (cols, rows, n) so that every update is
     contiguous.
     """
-    m = np.ascontiguousarray(stack.transpose(2, 1, 0), _work_dtype(q))
+    m = np.ascontiguousarray(stack.transpose(2, 1, 0), _work_type(q)[0])
     cols, rows, n = m.shape
     ranks = np.zeros(n, np.int64)
     idx = np.arange(n)

@@ -194,13 +194,9 @@ def sample_prophet_instance(
 
         actives = []
         for ell in range(1, kappa + 1):
-            columns = []
-            for part in nested.partitions[ell - 1]:
-                for window in pifam._window_columns(part):
-                    col = 0
-                    for coord in window:
-                        col ^= r_cols[coord]
-                    columns.append(col)
+            columns = [
+                col for part in nested.partitions[ell - 1] for col in pifam.window_sums(part, r_cols)
+            ]
             labels = list(params.labels_of_level(ell))
             actives.append(
                 pifam.matrix_to_set_from_columns(columns, 2, params.ambient_dim, labels, rng)

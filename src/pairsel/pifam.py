@@ -18,9 +18,11 @@ and level partitions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -193,6 +195,27 @@ def _window_columns(part: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [part[t : t + half] for t in range(half)]
 
 
+def window_sums(part: tuple[int, ...], values: Sequence[int]) -> list[int]:
+    """XOR of ``values[coord]`` over each window of ``_window_columns(part)``,
+    from one walk: window t + 1 is window t without member t and with
+    member t + |part|/2."""
+    half = len(part) // 2
+    acc = 0
+    for coord in part[:half]:
+        acc ^= values[coord]
+    sums = [acc]
+    for t in range(half - 1):
+        acc ^= values[part[t]] ^ values[part[t + half]]
+        sums.append(acc)
+    return sums
+
+
+@functools.cache
+def _unit_masks(d: int) -> tuple[int, ...]:
+    """Packed basis vectors of GF(2)^d: entry c has bit c set."""
+    return tuple(1 << c for c in range(d))
+
+
 def _survive_and_merge(parts: tuple[tuple[int, ...], ...], rng: np.random.Generator):
     """One level step: keep a uniformly random half of the parts, then merge
     consecutive survivors pairwise (in their original order)."""
@@ -224,11 +247,8 @@ class NestedSigma:
 
     def column_masks(self, level: int) -> list[int]:
         """Packed columns of the level's block (level is 1-based)."""
-        masks = []
-        for part in self.partitions[level - 1]:
-            for window in _window_columns(part):
-                masks.append(sum(1 << c for c in window))
-        return masks
+        units = _unit_masks(self.d)
+        return [m for part in self.partitions[level - 1] for m in window_sums(part, units)]
 
     @property
     def sigmas(self) -> list[FieldMatrix]:

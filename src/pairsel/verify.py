@@ -9,6 +9,8 @@ results are independent of chunking and thread scheduling.
 
 from __future__ import annotations
 
+import copy
+import gc
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -18,8 +20,15 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import pifam, schemes
-from .gf import FieldMatrix, check_modulus, stacked_product, stacked_rank, vector_basis
+from . import ocrs_kernel, pifam, schemes
+from .gf import (
+    FieldMatrix,
+    check_modulus,
+    generator_state,
+    stacked_product,
+    stacked_rank,
+    vector_basis,
+)
 from .instances import CrsInstance, ProphetParams, sample_prophet_instance
 from .matroid import (
     DuplicatedLinearMatroid,
@@ -759,8 +768,11 @@ def ocrs_balance(
     run's accepted set and every non-loop contribution at once.  On the
     first trial the sweep is checked against its oracles, ``scheme.run``
     and one ``selection_probability_given_active`` replay per element, and
-    a mismatch raises.  Contributions are summed in ``non_loops`` order,
-    since their float sums depend on it.
+    a mismatch raises.  Contributions are summed in ``non_loops`` order.
+
+    This is the element-by-element path for any scheme and sampler;
+    ``crs_ocrs_balance`` runs the CRS instance as a block kernel, and this
+    function is its test oracle.
     """
     stats_per: dict[str, dict] = {name: {} for name in adversaries}
     loops = {name: 0 for name in adversaries}
@@ -771,11 +783,11 @@ def ocrs_balance(
     for trial in range(trials):
         active = sampler(rng)
         elements = list(active)
-        non_loops = [e for e in elements if not _is_loop(e)]
-        coins = scheme.coins(non_loops, rng)
+        loops_here, non_loops = [], []
         for e in elements:
-            if _is_loop(e):
-                coins[e] = False
+            (loops_here if _is_loop(e) else non_loops).append(e)
+        coins = scheme.coins(non_loops, rng)
+        coins.update(dict.fromkeys(loops_here, False))
         for name, adversary in adversaries.items():
             accepted, contributions = scheme.sweep(elements, coins, adversary, non_loops, trace)
             if trial == 0:
@@ -850,6 +862,11 @@ def _is_loop(e) -> bool:
     return v == 0 if isinstance(v, int) else not any(v)
 
 
+# Trials per decision block of crs_ocrs_balance: its (block, d, d) work
+# arrays stay the same size at any trial count.
+OCRS_BLOCK = 512
+
+
 def crs_ocrs_balance(
     q: int,
     d: int,
@@ -862,20 +879,152 @@ def crs_ocrs_balance(
 ) -> OcrsBalanceReport:
     """Greedy OCRS balance on the CRS hard instance under the standard
     adversary orders, sampling the explicit branch and folding the
-    correlated branch into a one-sided factor 1 - 1/q^d."""
+    correlated branch into a one-sided factor 1 - 1/q^d.
+
+    The report, the trace and the generator's final state equal those of
+    ``ocrs_balance`` on ``instance.sample_d1`` (its test oracle), but the
+    trials run as a block kernel with no per-element Python objects:
+
+    * Draws, one short loop per trial: R as ``sample_d1`` draws it, then
+      one ``random()`` per non-loop column of R·σ in label order, as
+      ``GreedyOcrs.coins`` draws the non-loops' coins.
+    * Decisions, once per block of ``OCRS_BLOCK`` trials: R·σ by one
+      ``stacked_product``, then per adversary the walk of
+      ``GreedyOcrs.sweep`` with every non-loop forced, one ``stacked_rank``
+      per position deciding whether the column is independent of the
+      accepted ones.
+    * Sums by counts: a contribution is p = 1/(2d) or 0.0, and adding 0.0
+      changes no float, so each element's and each pooled sum is the
+      sequential sum of k copies of p (or p·p), k the count of hits.
+
+    The per-trial path stays live in the run: trial 0 is replayed through
+    ``sample_d1`` and ``GreedyOcrs.coins`` on copies of the generator, its
+    sweeps are checked by ``_check_sweep``, and the first trial of every
+    block is checked against ``GreedyOcrs.sweep`` under every adversary.
+    A mismatch raises AssertionError.
+    """
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
     instance = CrsInstance(q, d, c)
     scheme = schemes.GreedyOcrs(instance.matroid)
-    factor = 1.0 - float(instance.marginal())
-    return ocrs_balance(
-        scheme,
-        lambda r: instance.sample_d1(r).explicit,
-        schemes.ADVERSARY_ORDERS,
-        trials,
-        rng,
-        d1_factor=factor,
-        sigmas=sigmas,
-        trace=trace,
+    p = scheme.coin_probability
+    sigma = np.array(instance.sigma.entries, np.int64)
+    draw = ocrs_kernel.drawer(q, sigma)
+    _check_first_draw(
+        instance, scheme, rng, lambda r: ocrs_kernel.block_inputs(*draw(r, 1), sigma, q, p)
     )
+    names = tuple(schemes.ADVERSARY_ORDERS)
+    tally = None
+    taken = np.zeros(len(names), np.int64)
+    occurrences = 0
+    for start in range(0, trials, OCRS_BLOCK):
+        drawn = draw(rng, min(OCRS_BLOCK, trials - start))
+        v, non_loop, heads = ocrs_kernel.block_inputs(*drawn, sigma, q, p)
+        sweeps = {}
+        for name in names:
+            positions = ocrs_kernel.SWEPT_POSITIONS[name](non_loop)
+            sweeps[name] = (positions, *ocrs_kernel.greedy_sweeps(v, heads, positions, q))
+        for t in range(v.shape[0] if trace is not None else 1):
+            elements, coins = ocrs_kernel.trial_elements(v[t], q), heads[t].tolist()
+            trial = {name: tuple(a[t].tolist() for a in sweep) for name, sweep in sweeps.items()}
+            if t == 0:
+                _check_kernel_trial(scheme, elements, coins, non_loop[t].tolist(), trial,
+                                    first=start == 0)
+            if trace is not None:
+                for positions, _, took in trial.values():
+                    for record in ocrs_kernel.swept_records(elements, positions, coins, took):
+                        trace(record)
+        keys = ocrs_kernel.element_keys(v, q)[non_loop]
+        hits = np.array([sweeps[name][1][non_loop] for name in names])
+        block = (keys, occurrences + np.arange(keys.size), np.ones(keys.size), hits)
+        if tally is not None:
+            block = tuple(np.concatenate(part, axis=-1) for part in zip(tally, block))
+        tally = ocrs_kernel.tally(*block)
+        occurrences += keys.size
+        taken += [sweeps[name][2].sum() for name in names]
+
+    keys, first, counts, hits = tally
+    order = np.argsort(first)
+    keys, counts, hits = keys[order], counts[order].astype(np.int64), hits[:, order].astype(np.int64)
+    totals = hits.sum(axis=1)
+    factor = 1.0 - float(instance.marginal())
+    qualifying = counts >= MIN_OCCURRENCES
+    reports = []
+    for a, name in enumerate(names):
+        # The qualifying elements' sums, then the pooled sum.
+        ks = np.append(hits[a, qualifying], totals[a])
+        sums, squares = ocrs_kernel.repeated_sums(p, ks), ocrs_kernel.repeated_sums(p * p, ks)
+        worst, min_ci, min_mean = ocrs_kernel.min_interval(
+            counts[qualifying], sums[:-1], squares[:-1], sigmas, factor
+        )
+        pooled = Accumulator(occurrences, float(sums[-1]), float(squares[-1]))
+        plain = Accumulator(occurrences, float(taken[a]), float(taken[a]))
+        reports.append(
+            AdversaryBalance(
+                adversary=name,
+                qualifying_elements=int(qualifying.sum()),
+                insufficient_elements=int((~qualifying).sum()),
+                loop_occurrences=trials * d - occurrences,
+                min_ci_low=min_ci,
+                min_mean=min_mean,
+                worst_element=(
+                    None if worst is None else ocrs_kernel.key_element(keys[qualifying][worst], q, d)
+                ),
+                pooled=Estimate.from_accumulator(pooled, sigmas).scaled(factor),
+                pooled_plain=Estimate.from_accumulator(plain, sigmas),
+            )
+        )
+    # The per-element path allocated enough container objects to set off the
+    # collector's full collections; the kernel allocates few, so reference
+    # cycles that earlier commands of the process left in the oldest
+    # generation would wait there.  One full collection per call (about 7 ms)
+    # keeps repeated in-process runs at the per-element path's memory.
+    gc.collect()
+    return OcrsBalanceReport(
+        trials=trials,
+        min_occurrences=MIN_OCCURRENCES,
+        d1_factor=factor,
+        per_adversary=tuple(reports),
+    )
+
+
+def _check_first_draw(instance, scheme, rng: np.random.Generator, kernel_trial: Callable):
+    """Raise unless trial 0 of the kernel, drawn on a copy of the generator,
+    has the elements, coins and final generator state that ``sample_d1``
+    and ``scheme.coins`` give on another copy."""
+    replay, probe = copy.deepcopy(rng), copy.deepcopy(rng)
+    elements = list(instance.sample_d1(replay).explicit)
+    coins = dict.fromkeys(elements, False)
+    coins.update(scheme.coins([e for e in elements if not _is_loop(e)], replay))
+    v, _, heads = kernel_trial(probe)
+    kernel_elements = ocrs_kernel.trial_elements(v[0], instance.q)
+    if kernel_elements != elements or dict(zip(kernel_elements, heads[0].tolist())) != coins:
+        raise AssertionError(f"kernel drew {kernel_elements!r}, sample_d1 {elements!r}")
+    if generator_state(probe) != generator_state(replay):
+        raise AssertionError("the kernel's trial 0 left the generator in another state")
+
+
+def _check_kernel_trial(scheme, elements, heads, non_loop, sweeps, *, first: bool):
+    """Raise unless one trial of the kernel equals ``GreedyOcrs.sweep`` under
+    every adversary: the accepted set, the contributions and the swept order
+    with its records.  On the run's first trial the sweeps are also checked
+    by ``_check_sweep`` against the run and the forced-coin replays."""
+    coins = dict(zip(elements, heads))
+    non_loops = [e for e, keep in zip(elements, non_loop) if keep]
+    p = scheme.coin_probability
+    for name, adversary in schemes.ADVERSARY_ORDERS.items():
+        positions, independent, took = sweeps[name]
+        records = []
+        accepted, contributions = scheme.sweep(elements, coins, adversary, non_loops, records.append)
+        if first:
+            _check_sweep(scheme, elements, coins, adversary, non_loops, accepted, contributions)
+        kernel = (
+            tuple(elements[j] for j in positions if took[j]),
+            {elements[j]: p if independent[j] else 0.0 for j in positions if non_loop[j]},
+            ocrs_kernel.swept_records(elements, positions, heads, took),
+        )
+        if kernel != (accepted, contributions, records):
+            raise AssertionError(f"the {name} kernel sweep disagrees with GreedyOcrs.sweep")
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import inspect
 import pathlib
 import typing
 
-from pairsel import cli, gf, instances, matroid, pifam, schemes, verify
+from pairsel import cli, gf, instances, matroid, ocrs_kernel, pifam, schemes, verify
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "pairsel"
@@ -15,8 +15,9 @@ SPANS = ROOT / "perfbench" / "spans.py"
 
 # Slow-path oracles that only the tests call: each cross-checks a fast path
 # of the package (the naive CRS sampler, exact enumeration of the toy prophet
-# instance, the chi-square weight test).
-TEST_ORACLES = ("crs_naive_rank_estimate", "exact_prophet_weight_check", "pairwise_weight_test")
+# instance, the chi-square weight test, the element-by-element OCRS balance).
+TEST_ORACLES = ("crs_naive_rank_estimate", "exact_prophet_weight_check", "pairwise_weight_test",
+                "ocrs_balance")
 
 # Classes that no package code uses but the traced benchmark run wraps by name
 # (perfbench/spans.py); they can go once the benchmark drops those bindings.
@@ -64,7 +65,7 @@ def test_exemptions_are_still_needed():
     assert set(BENCHMARK_BINDINGS) <= bound
 
 
-MODULES = (gf, matroid, pifam, instances, schemes, verify, cli)
+MODULES = (gf, matroid, pifam, instances, schemes, ocrs_kernel, verify, cli)
 
 
 def _annotated_callables():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pairsel import gf, instances, schemes, verify
+from pairsel import gf, instances, pifam, schemes, verify
 from pairsel.instances import (
     CrsInstance,
     ProphetParams,
@@ -189,3 +189,24 @@ def test_pairwise_weight_test_small_scale():
 def test_pairwise_weight_test_dimension_guard():
     with pytest.raises(ValueError):
         pairwise_weight_test(128, 3, 100, gf.substream(0, "g"))
+
+
+@pytest.mark.parametrize("d,kappa", [(256, 4), (16, 2), (64, 3), (2, 1)])
+def test_candidate_images_are_naive_window_xors_of_r(d, kappa):
+    # The same seed replays the draw's σ and R; each image is the XOR of
+    # R's columns over its window, summed window by window here.
+    for seed in range(3):
+        sample = sample_prophet_instance(d, kappa, gf.substream(seed, "images", d))
+        replay = gf.substream(seed, "images", d)
+        nested = pifam.sigma_prophet(d, kappa, replay)
+        r_cols = instances._r_column_masks(d, replay)
+        expected = {}
+        for ell in range(1, kappa + 1):
+            windows = [w for part in nested.partitions[ell - 1] for w in pifam._window_columns(part)]
+            for label, window in zip(sample.params.labels_of_level(ell), windows):
+                image = 0
+                for coord in window:
+                    image ^= r_cols[coord]
+                expected[label] = image
+        assert all(e.vector == expected[e.label] for e, _ in sample.candidates)
+        assert sample.candidates or not sample.e_hard

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairsel import gf, pifam
 from pairsel.gf import FieldMatrix
@@ -186,3 +188,31 @@ def test_nested_sigma_field_matrices_match_masks():
     for ell in (1, 2):
         matrix = ns.sigmas[ell - 1]
         assert matrix.column_vectors() == ns.column_masks(ell)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_window_sums_equal_naive_window_xors(data):
+    half = data.draw(st.integers(1, 16))
+    part = tuple(sorted(data.draw(
+        st.lists(st.integers(0, 63), min_size=2 * half, max_size=2 * half, unique=True)
+    )))
+    values = data.draw(st.lists(st.integers(0, 2**128 - 1), min_size=64, max_size=64))
+    naive = []
+    for window in pifam._window_columns(part):
+        acc = 0
+        for coord in window:
+            acc ^= values[coord]
+        naive.append(acc)
+    assert pifam.window_sums(part, values) == naive
+
+
+@pytest.mark.parametrize("d,kappa", [(256, 4), (16, 2), (64, 3), (2, 1)])
+def test_column_masks_equal_naive_window_masks(d, kappa):
+    ns = pifam.sigma_prophet(d, kappa, gf.substream(4, "walk", d))
+    for ell in range(1, kappa + 1):
+        assert ns.column_masks(ell) == [
+            sum(1 << c for c in window)
+            for part in ns.partitions[ell - 1]
+            for window in pifam._window_columns(part)
+        ]

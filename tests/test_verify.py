@@ -1,11 +1,14 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pairsel import gf, schemes, verify
+from pairsel import cli, gf, ocrs_kernel, schemes, verify
 from pairsel.gf import FieldMatrix
 from pairsel.instances import CrsInstance
 from pairsel.matroid import DuplicatedLinearMatroid, LabeledVector
@@ -378,6 +381,149 @@ def test_ocrs_balance_accepted_sets_stay_independent():
         coins = scheme.coins(active, rng)
         accepted = scheme.run(schemes.order_coin_adversarial(active, coins), coins)
         assert instance.matroid.is_independent(accepted)
+
+
+# --- the OCRS block kernel against its oracles -----------------------------------
+
+# (q, d, c): σ has rank 2 < c at (2, 3, 3) and (3, 4, 3).
+KERNEL_INSTANCES = [(2, 3, 3), (2, 4, 3), (3, 4, 3), (3, 3, 2), (3, 5, 3), (5, 5, 2)]
+
+
+def _oracle_balance(q, d, c, trials, rng, trace=None):
+    """The element-by-element balance of the CRS instance, as the kernel's
+    per-trial path computes it."""
+    instance = CrsInstance(q, d, c)
+    return verify.ocrs_balance(
+        schemes.GreedyOcrs(instance.matroid),
+        lambda r: instance.sample_d1(r).explicit,
+        schemes.ADVERSARY_ORDERS,
+        trials,
+        rng,
+        d1_factor=1.0 - float(instance.marginal()),
+        trace=trace,
+    )
+
+
+def _assert_kernel_equals_oracle(q, d, c, trials, seed):
+    kernel_rng, oracle_rng = gf.substream(seed, "kernel"), gf.substream(seed, "kernel")
+    kernel_trace, oracle_trace = [], []
+    report = verify.crs_ocrs_balance(q, d, c, trials, kernel_rng, trace=kernel_trace.append)
+    oracle = _oracle_balance(q, d, c, trials, oracle_rng, oracle_trace.append)
+    # repr compares floats exactly and NaN equal to NaN.
+    assert repr(report) == repr(oracle)
+    assert kernel_trace == oracle_trace
+    assert gf.generator_state(kernel_rng) == gf.generator_state(oracle_rng)
+    return report
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_kernel_sweeps_equal_greedy_ocrs_sweep_per_trial(data):
+    # Any R and any coins on the non-loops, not only the rare heads that
+    # p = 1/(2d) gives, so that several accepts per trial are common.
+    q, d, c = data.draw(st.sampled_from(KERNEL_INSTANCES))
+    instance = CrsInstance(q, d, c)
+    scheme = schemes.GreedyOcrs(instance.matroid)
+    sigma = np.array(instance.sigma.entries, np.int64)
+    n = data.draw(st.integers(1, 6))
+    rs = np.array(data.draw(st.lists(st.integers(0, q - 1), min_size=n * d * c,
+                                     max_size=n * d * c))).reshape(n, d, c)
+    v = gf.stacked_product(rs, sigma, q)
+    non_loop = v.any(axis=1)
+    coins = np.array(data.draw(st.lists(st.booleans(), min_size=n * d, max_size=n * d)))
+    heads = non_loop & coins.reshape(n, d)
+    for t in range(n):
+        expected = FieldMatrix.from_rows(rs[t].tolist(), q).multiply(instance.sigma)
+        assert ocrs_kernel.trial_elements(v[t], q) == [
+            LabeledVector(vec, j + 1) for j, vec in enumerate(expected.column_vectors())
+        ]
+    for name, adversary in schemes.ADVERSARY_ORDERS.items():
+        positions = ocrs_kernel.SWEPT_POSITIONS[name](non_loop)
+        independent, taken = ocrs_kernel.greedy_sweeps(v, heads, positions, q)
+        for t in range(n):
+            elements = ocrs_kernel.trial_elements(v[t], q)
+            trial_coins = dict(zip(elements, heads[t].tolist()))
+            non_loops = [e for e, keep in zip(elements, non_loop[t]) if keep]
+            forced = {**trial_coins, **dict.fromkeys(non_loops, True)}
+            accepted, contributions = scheme.sweep(elements, trial_coins, adversary, non_loops)
+            assert [elements[j] for j in positions[t]] == adversary(elements, forced)
+            assert tuple(elements[j] for j in positions[t] if taken[t, j]) == accepted
+            assert {
+                elements[j]: scheme.coin_probability if independent[t, j] else 0.0
+                for j in range(d) if non_loop[t, j]
+            } == contributions
+
+
+@given(instance=st.sampled_from(KERNEL_INSTANCES), seed=st.integers(0, 2**32),
+       trials=st.integers(1, 300))
+@settings(max_examples=30, deadline=None)
+def test_crs_ocrs_balance_equals_the_oracle_over_small_blocks(instance, seed, trials):
+    with mock.patch.object(verify, "OCRS_BLOCK", 64):
+        _assert_kernel_equals_oracle(*instance, trials, seed)
+
+
+@pytest.mark.parametrize("q,d,c,trials", [
+    (2, 3, 3, 2500), (2, 4, 3, 1500), (3, 3, 2, 1500), (3, 4, 3, 2100), (3, 5, 3, 1100),
+])
+def test_crs_ocrs_balance_equals_the_oracle_with_qualifying_elements(q, d, c, trials):
+    report = _assert_kernel_equals_oracle(q, d, c, trials, seed=31)
+    if (q, d, c) != (3, 5, 3):
+        assert all(a.qualifying_elements > 0 for a in report.per_adversary)
+
+
+@pytest.mark.parametrize("q,d,c,trials", [
+    (2, 5, 13, 60),  # q^c = 8192 is above LOOP_TABLE_LIMIT: no loop table
+    (2, 64, 7, 6),  # d q^d overflows int64: the element keys are Python ints
+])
+def test_crs_ocrs_balance_fallbacks_equal_the_oracle(q, d, c, trials):
+    _assert_kernel_equals_oracle(q, d, c, trials, seed=32)
+
+
+def test_repeated_sums_are_sequential_float_sums():
+    # Past two chunk boundaries, and in any order of the requested counts.
+    ks = np.random.default_rng(0).permutation(2 * ocrs_kernel.SUM_CHUNK + 100)
+    for x in (0.1, 1 / 6, 0.01, 1 / 36):
+        running = [0.0]
+        for _ in range(ks.size - 1):
+            running.append(running[-1] + x)
+        assert ocrs_kernel.repeated_sums(x, ks).tolist() == [running[k] for k in ks]
+    # A running sum differs from the product: ten 0.1s add up to less than 1.
+    assert ocrs_kernel.repeated_sums(0.1, np.array([10]))[0] == 0.9999999999999999 != 10 * 0.1 == 1.0
+
+
+def test_a_kernel_order_unlike_its_adversary_raises_in_the_run(monkeypatch, capsys):
+    monkeypatch.setitem(ocrs_kernel.SWEPT_POSITIONS, "label-ascending",
+                        ocrs_kernel.SWEPT_POSITIONS["label-descending"])
+    with pytest.raises(AssertionError, match="label-ascending"):
+        verify.crs_ocrs_balance(3, 5, 3, 50, gf.substream(1, "neg"))
+    # A crash, not a failed verdict.
+    assert cli.run(["ocrs-bench", "--q", "3", "--d", "5", "--c", "3", "--trials", "50"]) == 3
+
+
+def test_first_draw_check_catches_a_kernel_that_draws_differently():
+    instance = CrsInstance(3, 5, 3)
+    scheme = schemes.GreedyOcrs(instance.matroid)
+    sigma = np.array(instance.sigma.entries, np.int64)
+    draw = ocrs_kernel.drawer(3, sigma)
+    rng = gf.substream(2, "first")
+
+    def kernel(trials):
+        return lambda r: ocrs_kernel.block_inputs(*draw(r, trials), sigma, 3, scheme.coin_probability)
+
+    verify._check_first_draw(instance, scheme, rng, kernel(1))
+    with pytest.raises(AssertionError, match="state"):
+        verify._check_first_draw(instance, scheme, rng, kernel(2))
+
+
+def test_ocrs_bench_trace_file_equals_the_oracle_trace(tmp_path):
+    path = tmp_path / "kernel.jsonl"
+    code = cli.run(["ocrs-bench", "--q", "2", "--d", "3", "--c", "3", "--trials", "300",
+                    "--seed", "5", "--trace", str(path), "--output", str(tmp_path / "o.txt")])
+    assert code in (0, 1)
+    oracle_path = tmp_path / "oracle.jsonl"
+    with cli._trace_writer(str(oracle_path)) as trace:
+        _oracle_balance(2, 3, 3, 300, gf.substream(5, "ocrs-bench"), trace)
+    assert path.read_bytes() == oracle_path.read_bytes()
 
 
 # --- benchmarks ---------------------------------------------------------------------
